@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 RelationId = int
 RelationSet = int  # bitmask; bit r set <=> relation with id r is in the set
 
@@ -27,6 +29,13 @@ def iter_bits(mask: RelationSet) -> Iterator[RelationId]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def allowed_tensor(calc: "Calculus") -> np.ndarray:
+    """``k x k x k`` bool array; ``[r1, r2, r3]`` holds iff ``r3`` is in the
+    table cell ``c(r1, r2)``."""
+    table = np.array(calc.table, dtype=np.int64)
+    return ((table[:, :, None] >> np.arange(calc.n_relations)) & 1).astype(bool)
 
 
 @dataclass(frozen=True)

@@ -311,7 +311,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_grid_args(parser, required: bool = True) -> None:
+def _add_grid_args(parser) -> None:
     parser.add_argument("--grid", help="grid shape ROWSxCOLS, e.g. 100x200")
     parser.add_argument("--bbox", default="0,1,0,1",
                         help="latmin,latmax,lonmin,lonmax (default 0,1,0,1)")

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .calculus import Calculus, builtin_tc6, builtin_tc10, iter_bits
+from .calculus import Calculus, allowed_tensor, builtin_tc6, builtin_tc10, iter_bits
 from .grids import GridSpec
 from .solver import Assignment, Instance, verify_assignment
 from .trajectories import Mode, Trajectory, classify, enumerate_trajectories
@@ -173,16 +173,6 @@ def classification_matrix(mode: Mode, trajectories: Sequence[Trajectory]) -> np.
     return matrix
 
 
-def _allowed_tensor(calc: Calculus) -> np.ndarray:
-    k = calc.n_relations
-    allowed = np.zeros((k, k, k), dtype=bool)
-    for r1 in range(k):
-        for r2 in range(k):
-            for r3 in iter_bits(calc.table[r1][r2]):
-                allowed[r1, r2, r3] = True
-    return allowed
-
-
 def verify_soundness(mode: Mode, grid: GridSpec, max_len: int,
                      sample: int | None = None, seed: int = 0,
                      calculus: Calculus | None = None,
@@ -202,7 +192,7 @@ def verify_soundness(mode: Mode, grid: GridSpec, max_len: int,
         raise ValueError("grid admits no valid trajectories at this scale")
     matrix = classification_matrix(mode, trajs)
     k = calc.n_relations
-    allowed = _allowed_tensor(calc)
+    allowed = allowed_tensor(calc)
 
     counts = np.zeros(k * k * k, dtype=np.int64)
     if sample is None:

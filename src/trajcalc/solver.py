@@ -21,12 +21,13 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .calculus import (Calculus, CalculusError, RelationId, RelationSet,
-                       builtin, iter_bits, load_calculus, save_calculus)
+                       allowed_tensor, builtin, load_calculus, save_calculus)
 
 
 class InstanceError(ValueError):
@@ -109,9 +110,6 @@ class Network:
         self.domains = domains
         self._elem_ids = {name: i for i, name in enumerate(elements)}
 
-    def copy(self) -> "Network":
-        return Network(self.calculus, self.elements, list(self.domains))
-
     def domain_between(self, x: str, y: str) -> RelationSet:
         i = self._elem_ids[x]
         j = self._elem_ids[y]
@@ -141,14 +139,12 @@ def build_network(inst: Instance) -> Network:
             f"calculus {calc.name!r} violates converse-uniqueness; the canonical-pair "
             "network cannot represent it")
     n = len(inst.elements)
-    ids = {name: i for i, name in enumerate(inst.elements)}
-    _, index = _pair_table(n)
-    domains = [calc.base_label_mask] * (n * (n - 1) // 2)
+    net = Network(calc, inst.elements, [calc.base_label_mask] * (n * (n - 1) // 2))
     for c in inst.constraints:
-        i, j = ids[c.x], ids[c.y]
+        i, j = net._elem_ids[c.x], net._elem_ids[c.y]
         mask = c.rels if i < j else calc.converse_set(c.rels)
-        domains[index[i][j]] &= mask
-    return Network(calc, inst.elements, domains)
+        net.domains[net.pair_index[i][j]] &= mask
+    return net
 
 
 def _prop_compose_fn(calc: Calculus):
@@ -191,8 +187,7 @@ class _Engine:
     """Propagation plus trail-based backtracking over a network's domains."""
 
     __slots__ = ("net", "n", "domains", "pair_index", "pairs", "conv", "comp",
-                 "in_queue", "queue", "trail", "deadline", "_ticks", "full",
-                 "heap", "value_bits")
+                 "in_queue", "queue", "trail", "deadline", "_ticks", "full", "heap")
 
     def __init__(self, net: Network, deadline: float | None = None):
         self.net = net
@@ -207,7 +202,6 @@ class _Engine:
         self.queue: deque[int] = deque()
         self.trail: list[tuple[int, int]] = []
         self.heap: list[tuple[int, int]] = []
-        self.value_bits = _loose_value_order(net.calculus)
         self.deadline = deadline
         self._ticks = 0
 
@@ -301,7 +295,8 @@ class _Engine:
 
     # -- search -------------------------------------------------------------
 
-    def _pick_mrv(self) -> int | None:
+    def pick_mrv(self) -> int | None:
+        """Undecided pair with the fewest values, ties by pair order."""
         heap = self.heap
         domains = self.domains
         while heap:
@@ -317,65 +312,32 @@ class _Engine:
             return p
         return None
 
-    def search_first(self) -> bool:
-        """Depth-first search for one total singleton refinement.
+    def pick_first_undecided(self) -> int | None:
+        for p, mask in enumerate(self.domains):
+            if mask.bit_count() > 1:
+                return p
+        return None
 
-        Branching is minimum-remaining-values with ties by pair order; values
-        follow the loose-first order.  Returns True and leaves the domains
-        fully decided on success; False means the whole subtree is exhausted
-        (unsatisfiable).
+    def search(self, pick: Callable[["_Engine"], int | None],
+               value_bits: Sequence[RelationSet]) -> Iterator[list[RelationSet]]:
+        """Depth-first search over the closed network's pair domains.
+
+        ``pick`` chooses the pair to branch on (None once every pair is
+        decided); values are tried in ``value_bits`` order.  Yields the
+        decided domain list at every consistent leaf; it is only valid until
+        the generator resumes.
         """
         domains = self.domains
-        value_bits = self.value_bits
+        trail = self.trail
         self.heap = [(mask.bit_count(), p) for p, mask in enumerate(domains)
                      if mask.bit_count() > 1]
         heapq.heapify(self.heap)
-        # frames: [pair, remaining value bits, trail mark]
-        stack: list[list[int]] = []
-        while True:
-            self._check_deadline()
-            p = self._pick_mrv()
-            if p is None:
-                return True
-            stack.append([p, domains[p], len(self.trail)])
-            while stack:
-                frame = stack[-1]
-                pv, remaining, mark = frame
-                self.undo_to(mark)
-                if remaining == 0:
-                    stack.pop()
-                    continue
-                for bit in value_bits:
-                    if remaining & bit:
-                        break
-                frame[1] = remaining ^ bit
-                self.trail.append((pv, domains[pv]))
-                domains[pv] = bit
-                self.enqueue(pv)
-                if self.propagate(record=True) is None:
-                    break
-            else:
-                return False
-
-    def search_all(self, limit: int | None, collect) -> None:
-        """Exhaustive DFS in pair order x relation order, calling ``collect``
-        with the decided domain list at every consistent leaf."""
-        domains = self.domains
-        n_pairs = len(domains)
-        found = 0
-
-        def first_undecided() -> int | None:
-            for p in range(n_pairs):
-                if domains[p].bit_count() > 1:
-                    return p
-            return None
-
-        stack: list[list[int]] = []
-        p = first_undecided()
+        p = pick(self)
         if p is None:
-            collect(list(domains))
+            yield domains
             return
-        stack.append([p, domains[p], len(self.trail)])
+        # frames: [pair, remaining value bits, trail mark]
+        stack: list[list[int]] = [[p, domains[p], len(trail)]]
         while stack:
             self._check_deadline()
             frame = stack[-1]
@@ -384,21 +346,38 @@ class _Engine:
             if remaining == 0:
                 stack.pop()
                 continue
-            bit = remaining & -remaining
+            for bit in value_bits:
+                if remaining & bit:
+                    break
             frame[1] = remaining ^ bit
-            self.trail.append((pv, domains[pv]))
+            trail.append((pv, domains[pv]))
             domains[pv] = bit
             self.enqueue(pv)
             if self.propagate(record=True) is not None:
                 continue
-            nxt = first_undecided()
-            if nxt is None:
-                collect(list(domains))
-                found += 1
-                if limit is not None and found >= limit:
-                    return
+            p = pick(self)
+            if p is None:
+                yield domains
                 continue
-            stack.append([nxt, domains[nxt], len(self.trail)])
+            stack.append([p, domains[p], len(trail)])
+
+
+def _close(net: Network, deadline: float | None) -> tuple[_Engine, tuple[str, str] | None]:
+    """Run the network to its triangle fixpoint in place.
+
+    Returns the engine holding the closed domains and the first pair whose
+    domain is or became empty (None when all stay non-empty).
+    """
+    engine = _Engine(net, deadline)
+    empty = net.first_empty_pair()
+    if empty is not None:
+        return engine, empty
+    engine.seed_initial()
+    failed = engine.propagate(record=False)
+    if failed is None:
+        return engine, None
+    i, j = net.pairs[failed]
+    return engine, (net.elements[i], net.elements[j])
 
 
 def algebraic_closure(net: Network, deadline: float | None = None) -> tuple[str, str] | None:
@@ -407,16 +386,7 @@ def algebraic_closure(net: Network, deadline: float | None = None) -> tuple[str,
     Returns None when every domain stays non-empty, else the first pair whose
     domain collapsed.  Idempotent: a second run changes nothing.
     """
-    empty = net.first_empty_pair()
-    if empty is not None:
-        return empty
-    engine = _Engine(net, deadline)
-    engine.seed_initial()
-    failed = engine.propagate(record=False)
-    if failed is None:
-        return None
-    i, j = net.pairs[failed]
-    return (net.elements[i], net.elements[j])
+    return _close(net, deadline)[1]
 
 
 # -- assignments ---------------------------------------------------------------
@@ -471,36 +441,35 @@ def _assignment_from_domains(net: Network, domains: Sequence[RelationSet]) -> As
 
 # -- public solving API ---------------------------------------------------------
 
-# Test harnesses flip this on so every solve() result is re-checked by the
-# independent verifier before being returned.
-VERIFY_SOLUTIONS = False
+
+def _models(inst: Instance, deadline: float | None,
+            pick: Callable[[_Engine], int | None],
+            value_bits: Sequence[RelationSet]) -> Iterator[Assignment]:
+    """Build, close and search the instance, yielding verified models in
+    search order."""
+    net = build_network(inst)
+    if inst.elements and not inst.calculus.diagonal_consistent:
+        return
+    engine, failed = _close(net, deadline)
+    if failed is not None:
+        return
+    for domains in engine.search(pick, value_bits):
+        model = _assignment_from_domains(net, domains)
+        check = verify_assignment(inst, model)
+        if not check.ok:
+            raise AssertionError(
+                f"search produced an assignment that fails verification: {check.violations[:3]}")
+        yield model
 
 
 def solve(inst: Instance, deadline: float | None = None) -> Assignment | None:
-    """One model of the instance, or None when none exists.
+    """One model of the instance, re-verified, or None when none exists.
 
     Deterministic: branching follows minimum remaining values with ties by
     pair order, values in a fixed loose-composition-first order.
     """
-    net = build_network(inst)
-    if inst.elements and not inst.calculus.diagonal_consistent:
-        return None
-    if net.first_empty_pair() is not None:
-        return None
-    engine = _Engine(net, deadline)
-    engine.seed_initial()
-    if engine.propagate(record=False) is not None:
-        return None
-    if engine.search_first():
-        result = _assignment_from_domains(net, net.domains)
-        if VERIFY_SOLUTIONS:
-            check = verify_assignment(inst, result)
-            if not check.ok:
-                raise AssertionError(
-                    f"search produced an assignment that fails verification: "
-                    f"{check.violations[:3]}")
-        return result
-    return None
+    models = _models(inst, deadline, _Engine.pick_mrv, _loose_value_order(inst.calculus))
+    return next(models, None)
 
 
 def enumerate_models(inst: Instance, limit: int | None = None,
@@ -512,27 +481,8 @@ def enumerate_models(inst: Instance, limit: int | None = None,
     """
     if limit is not None and limit <= 0:
         return []
-    net = build_network(inst)
-    if inst.elements and not inst.calculus.diagonal_consistent:
-        return []
-    if net.first_empty_pair() is not None:
-        return []
-    engine = _Engine(net, deadline)
-    engine.seed_initial()
-    if engine.propagate(record=False) is not None:
-        return []
-    out: list[Assignment] = []
-
-    def collect(domains: list[RelationSet]) -> None:
-        a = _assignment_from_domains(net, domains)
-        check = verify_assignment(inst, a)
-        if not check.ok:
-            raise AssertionError(
-                f"search produced an assignment that fails verification: {check.violations[:3]}")
-        out.append(a)
-
-    engine.search_all(limit, collect)
-    return out
+    declared = [1 << r for r in range(inst.calculus.n_relations)]
+    return list(islice(_models(inst, deadline, _Engine.pick_first_undecided, declared), limit))
 
 
 # -- independent verification ----------------------------------------------------
@@ -562,14 +512,18 @@ def verify_assignment(inst: Instance,
     calc = inst.calculus
     names = inst.elements
     n = len(names)
-    matrix = np.empty((n, n), dtype=np.int16)
+    k = calc.n_relations
     if isinstance(assignment, Assignment):
         if assignment.elements != names:
             raise InstanceError("assignment elements do not match the instance")
-        for i, x in enumerate(names):
-            for j, y in enumerate(names):
-                matrix[i, j] = assignment.of(x, y)
+        # the upper triangle's True cells run in canonical pair order
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        values = np.asarray(assignment.values, dtype=np.intp)
+        matrix = np.full((n, n), assignment.calculus.equality, dtype=np.intp)
+        matrix[upper] = values
+        matrix.T[upper] = np.asarray(assignment.calculus.converse, dtype=np.intp)[values]
     else:
+        matrix = np.empty((n, n), dtype=np.intp)
         for i, x in enumerate(names):
             for j, y in enumerate(names):
                 try:
@@ -577,23 +531,30 @@ def verify_assignment(inst: Instance,
                 except KeyError:
                     raise InstanceError(f"assignment is not total: missing pair ({x},{y})") from None
                 matrix[i, j] = calc.rel_id(val) if isinstance(val, str) else val
+    if n and not (0 <= matrix.min() and matrix.max() < k):
+        raise InstanceError("assignment mentions relation ids outside the calculus")
 
     violations: list[tuple] = []
     for i in range(n):
         if matrix[i, i] != calc.equality:
             violations.append(("identity", names[i]))
 
-    k = calc.n_relations
-    allowed = np.zeros((k, k, k), dtype=bool)
-    for r1 in range(k):
-        for r2 in range(k):
-            for r3 in iter_bits(calc.table[r1][r2]):
-                allowed[r1, r2, r3] = True
-    # bad[x, y, z] <=> relation(x,z) not in c(relation(x,y), relation(y,z))
-    bad = ~allowed[matrix[:, :, None], matrix[None, :, :], matrix[:, None, :]]
-    if bad.any():
-        for x, y, z in np.argwhere(bad)[:_VIOLATION_CAP]:
-            violations.append(("composition", names[x], names[y], names[z]))
+    # One first element x at a time, so memory stays O(n^2): entry [y, z] of
+    # ``code`` indexes the flattened table at (rel(x,y), rel(y,z), rel(x,z)).
+    forbidden = ~allowed_tensor(calc).ravel()
+    composition: list[tuple] = []
+    for x in range(n):
+        row = matrix[x]
+        code = matrix * k
+        code += row[:, None] * (k * k)
+        code += row
+        bad = forbidden[code]
+        if bad.any():
+            composition += [("composition", names[x], names[y], names[z])
+                            for y, z in np.argwhere(bad)[:_VIOLATION_CAP - len(composition)]]
+            if len(composition) == _VIOLATION_CAP:
+                break
+    violations += composition
 
     ids = {name: i for i, name in enumerate(names)}
     for c in inst.constraints:

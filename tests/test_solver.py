@@ -1,12 +1,16 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+import trajcalc.solver
+from trajcalc.bench import (reveal_pairs_exp1, reveal_pairs_exp2, revealed_instance,
+                            synthetic_trajectories)
 from trajcalc.calculus import Calculus, builtin_tc6
-from trajcalc.solver import (Constraint, Instance, InstanceError, SolveTimeout,
-                             UnsupportedCalculusError, algebraic_closure, build_network,
-                             enumerate_models, instance_to_json, load_instance,
+from trajcalc.solver import (Assignment, Constraint, Instance, InstanceError, SolveTimeout,
+                             UnsupportedCalculusError, VerificationResult, algebraic_closure,
+                             build_network, enumerate_models, instance_to_json, load_instance,
                              make_instance, models_to_json, solve, verify_assignment)
 
 from conftest import random_small_instance
@@ -159,6 +163,70 @@ class TestSolveAndEnumerate:
                 assert thr is not None and thr.values == seq.values
 
 
+class TestPinnedModels:
+    """Models of seeded exp1/exp2 instances, pinned by the SHA-256 of their
+    model JSON: the search order (MRV / loose-first for ``solve``, pair x
+    declaration order for ``enumerate_models``) must not drift."""
+
+    CASES = [
+        # (entry point, experiment, calculus, n, known per element, seed, limit, sha256)
+        ("solve", "exp1", "tc6", 30, 1, 11, None,
+         "8edc94252eed193470baa3fb3255b3df8d3fa604bdbf2edca58cf0c95e358fe1"),
+        ("solve", "exp1", "tc6", 60, 1, 12, None,
+         "d39c4204b92fca3a46830ca99a3c39e977883dacf13eb256eefd4a916822d572"),
+        ("solve", "exp1", "tc10", 30, 1, 13, None,
+         "461aea761f3a99a2a2231c95a493ae278dce3df80cde7f59bf4334fb5190e5ee"),
+        ("solve", "exp1", "tc10", 50, 1, 14, None,
+         "911e87e0d787597ce6d6331c4fe02efb84642a806ab6d2fd1446adc15c20ccf1"),
+        ("solve", "exp2", "tc6", 40, 8, 15, None,
+         "9fcef254e40250ad03c2049600347c693b0f376b417cc8ec6ad719a97ab97898"),
+        ("solve", "exp2", "tc10", 40, 20, 16, None,
+         "816225e447fdcbdc5b5a9d8fcdcfae7907d7d55ef548b26cb0d4ba7a13d210e9"),
+        ("enumerate", "exp1", "tc6", 6, 1, 17, 40,
+         "131d89797370a22bbfc0376afa3e8f52671034fd5d2b963f9cc8c40ddca49546"),
+        ("enumerate", "exp1", "tc10", 5, 1, 18, 40,
+         "bf46be42018a45b94fcaa56fa296c68fc9d43e51cece9a2beb9624938966a2d5"),
+        ("enumerate", "exp1", "tc10", 5, 1, 18, 1,
+         "90dd65ce0767656cdd2ae562f7f11d1dac0b6ff95303010ecbfbe10b461b0f7f"),
+        ("enumerate", "exp2", "tc10", 6, 4, 19, None,
+         "81c1d237d806a2fe652392e76440fda218d701940b49a9d13e47745b5ea2aa90"),
+        ("enumerate", "exp2", "tc6", 7, 5, 19, None,
+         "186e70fb47ce5eec77000b2e8848dd42e1156990db67366da2fa848f5c38bc9e"),
+    ]
+
+    @pytest.mark.parametrize("entry, experiment, mode, n, k, seed, limit, digest", CASES)
+    def test_model_json_digest(self, entry, experiment, mode, n, k, seed, limit, digest):
+        trajs = synthetic_trajectories(mode, n, seed)
+        pairs = reveal_pairs_exp1(n, seed) if experiment == "exp1" \
+            else reveal_pairs_exp2(n, k, seed)
+        inst = revealed_instance(mode, trajs, pairs)
+        if entry == "solve":
+            model = solve(inst)
+            models = [model] if model is not None else []
+        else:
+            models = enumerate_models(inst, limit=limit)
+        text = models_to_json(models)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_tight_random_instances_digest(self, tc6, tc10):
+        # Revealed instances leave a loose relation open on almost every
+        # pair, so their first model hardly depends on the branching order.
+        # Constraints without dis and i make that order visible.
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for t in range(100):
+            calc = tc6 if t % 2 else tc10
+            names = [f"e{i}" for i in range(4 + t % 4)]
+            tight = [r for r in calc.relations if r not in ("dis", "i")]
+            constraints = [(x, y, rng.sample(tight, rng.randint(1, 3)))
+                           for i, x in enumerate(names) for y in names[i + 1:]
+                           if rng.random() < 0.7]
+            model = solve(make_instance(calc, names, constraints))
+            digest.update(models_to_json([model] if model is not None else []).encode())
+        assert digest.hexdigest() == \
+            "26684baa5a86d6b236cd4778d1218e844f1427e3096d3a12efabb35749f39f36"
+
+
 class TestRandomCalculi:
     """The pair encoding must stay sound for any calculus that passes the
     converse-uniqueness gate, including tables that break the identity,
@@ -249,6 +317,40 @@ class TestVerifyAssignment:
         inst = make_instance(tc6, ["x", "y"])
         with pytest.raises(InstanceError, match="not total"):
             verify_assignment(inst, {("x", "x"): "eq"})
+
+    def test_out_of_range_relation_id_rejected(self, tc6):
+        inst = make_instance(tc6, ["x", "y"])
+        raw = {("x", "x"): 0, ("y", "y"): 0, ("x", "y"): tc6.n_relations, ("y", "x"): 1}
+        with pytest.raises(InstanceError, match="outside the calculus"):
+            verify_assignment(inst, raw)
+
+    def test_composition_violations_capped_in_triple_order(self, tc6):
+        names = [f"e{i}" for i in range(40)]
+        inst = make_instance(tc6, names)
+        rng = random.Random(8)
+        n_pairs = len(names) * (len(names) - 1) // 2
+        bad = Assignment(tc6, tuple(names),
+                         tuple(rng.randrange(tc6.n_relations) for _ in range(n_pairs)))
+        expected = []
+        for x in names:
+            for y in names:
+                for z in names:
+                    if not (tc6.compose(bad.of(x, y), bad.of(y, z)) >> bad.of(x, z)) & 1:
+                        expected.append(("composition", x, y, z))
+                if len(expected) > 64:
+                    break
+            if len(expected) > 64:
+                break
+        assert len(expected) > 64
+        assert verify_assignment(inst, bad).violations == tuple(expected[:64])
+
+    def test_failed_verification_raises(self, monkeypatch, example_instance):
+        failing = VerificationResult(False, (("identity", "T1"),))
+        monkeypatch.setattr(trajcalc.solver, "verify_assignment", lambda inst, a: failing)
+        with pytest.raises(AssertionError, match="fails verification"):
+            solve(example_instance)
+        with pytest.raises(AssertionError, match="fails verification"):
+            enumerate_models(example_instance)
 
 
 class TestInstanceFiles:

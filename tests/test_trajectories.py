@@ -3,7 +3,7 @@ import pytest
 from trajcalc.grids import GridSpec
 from trajcalc.oracle import relations_holding
 from trajcalc.trajectories import (InfeasibleError, InvalidTrajectoryError, Trajectory,
-                                   classify, classify_name, enumerate_trajectories,
+                                   all_pairs, classify, classify_name, enumerate_trajectories,
                                    random_trajectory, validate_trajectory)
 
 
@@ -105,6 +105,26 @@ class TestAgainstLiteralDefinitions:
         for seed in range(300):
             t = random_trajectory(grid10, 2 + seed % 11, "tc10", seed=seed + 99_000)
             assert classify_name("tc10", t, t.reversed()) == "rev"
+
+
+class TestAllPairs:
+    @pytest.mark.parametrize("mode", ["tc6", "tc10"])
+    def test_rows_match_classify_name(self, mode, grid3):
+        trajs = [random_trajectory(grid3, 2 + seed % 5, mode, seed=seed).with_id(f"t{seed}")
+                 for seed in range(40)]
+        trajs += [trajs[0].reversed(), trajs[1].with_id("copy")]
+        expected = [(a.id, b.id, classify_name(mode, a, b))
+                    for i, a in enumerate(trajs) for b in trajs[i + 1:]]
+        assert list(all_pairs(mode, trajs)) == expected
+        assert len({rel for _, _, rel in expected}) > 3
+
+    @pytest.mark.parametrize("mode, bad", [("tc6", traj(0, 0, id="bad")),
+                                           ("tc6", traj(0, id="bad")),
+                                           ("tc10", traj(0, 1, 0, id="bad"))])
+    def test_invalid_trajectory_raises(self, mode, bad):
+        trajs = [traj(0, 1, id="a"), traj(1, 2, id="b"), bad]
+        with pytest.raises(InvalidTrajectoryError, match="bad"):
+            list(all_pairs(mode, trajs))
 
 
 class TestRandomTrajectory:
