@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,37 @@ def allowed_tensor(calc: "Calculus") -> np.ndarray:
     table cell ``c(r1, r2)``."""
     table = np.array(calc.table, dtype=np.int64)
     return ((table[:, :, None] >> np.arange(calc.n_relations)) & 1).astype(bool)
+
+
+# Relation sets fit int16 masks, and the row-union tables stay K x 2^K small.
+MAX_TABLE_RELATIONS = 15
+
+
+class RowUnionTables(NamedTuple):
+    """Read-only lookup tables over relation-set masks ``M`` (``2^K`` of them).
+
+    ``fwd[a][M]`` is the union of ``c(a, b)`` over ``b`` in ``M``;
+    ``mir[a][M]`` is the union of ``converse(c(converse b, converse a))``;
+    ``conv[M]`` is the elementwise converse image.  So the propagation
+    composition of masks ``L`` and ``R``, ``c(L, R)`` intersected with the
+    converse of ``c(conv R, conv L)``, is the union of ``fwd[a][R]`` over ``a``
+    in ``L`` intersected with the union of ``mir[a][R]``.  ``mir`` is ``fwd``
+    itself when the table obeys the converse-composition law.
+    """
+
+    fwd: np.ndarray
+    mir: np.ndarray
+    conv: np.ndarray
+
+
+def _mask_unions(cells: np.ndarray) -> np.ndarray:
+    """``out[..., M]`` is the union of ``cells[..., b]`` over the bits ``b`` of
+    ``M``.  Built by doubling: the masks with top bit ``b`` are the masks below
+    ``2^b`` with ``cells[..., b]`` added."""
+    out = np.zeros(cells.shape[:-1] + (1,), dtype=np.int16)
+    for b in range(cells.shape[-1]):
+        out = np.concatenate((out, out | cells[..., b:b + 1]), axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,23 +151,14 @@ class Calculus:
             raise CalculusError(f"relation id out of range: ({r1}, {r2})")
         return self.table[r1][r2]
 
-    @cached_property
-    def _comp_memo(self) -> dict[int, RelationSet]:
-        return {}
-
     def compose_set(self, left: RelationSet, right: RelationSet) -> RelationSet:
         """Union of ``compose(r1, r2)`` over all ``r1`` in left, ``r2`` in right."""
-        memo = self._comp_memo
-        key = (left << len(self.relations)) | right
-        got = memo.get(key)
-        if got is None:
-            got = 0
-            table = self.table
-            for r1 in iter_bits(left):
-                row = table[r1]
-                for r2 in iter_bits(right):
-                    got |= row[r2]
-            memo[key] = got
+        got = 0
+        table = self.table
+        for r1 in iter_bits(left):
+            row = table[r1]
+            for r2 in iter_bits(right):
+                got |= row[r2]
         return got
 
     @cached_property
@@ -154,6 +176,26 @@ class Calculus:
                 got |= 1 << conv[r]
             memo[rels] = got
         return got
+
+    @cached_property
+    def row_union_tables(self) -> RowUnionTables:
+        """The propagation lookup tables; needs at most ``MAX_TABLE_RELATIONS``
+        relations."""
+        k = len(self.relations)
+        if k > MAX_TABLE_RELATIONS:
+            raise CalculusError(f"calculus {self.name!r} has {k} relations; row-union "
+                                f"tables support at most {MAX_TABLE_RELATIONS}")
+        table = np.array(self.table, dtype=np.int16)
+        conv_ids = np.array(self.converse, dtype=np.intp)
+        conv = _mask_unions(np.left_shift(1, conv_ids).astype(np.int16))
+        fwd = _mask_unions(table)
+        # mirrored cell [a, b] = converse(c(converse b, converse a))
+        mir = _mask_unions(conv[table[conv_ids[None, :], conv_ids[:, None]]])
+        if np.array_equal(mir, fwd):
+            mir = fwd
+        for array in (fwd, mir, conv):
+            array.setflags(write=False)
+        return RowUnionTables(fwd, mir, conv)
 
     @cached_property
     def has_unique_converse(self) -> bool:

@@ -5,12 +5,12 @@ a calculus.  A model is a total relation assignment that puts equality on the
 diagonal, satisfies every constraint, and respects the composition table on
 every ordered element triple.
 
-The network stores one domain bitmask per unordered element pair; the domain
-of the reversed pair is the elementwise converse.  That representation is
-only faithful for calculi in which ``eq in c(r, r')`` pins ``r'`` to the
-converse of ``r`` (checked once per calculus; others are refused).  Search is
-chronological backtracking over pair domains with fixpoint propagation after
-every assignment.
+The network stores a dense matrix of domain bitmasks, one per ordered element
+pair; the domain of a reversed pair is the elementwise converse.  That
+representation is only faithful for calculi in which ``eq in c(r, r')`` pins
+``r'`` to the converse of ``r`` (checked once per calculus; others are
+refused).  Search is chronological backtracking over pair domains with
+fixpoint propagation after every assignment.
 """
 
 from __future__ import annotations
@@ -20,14 +20,15 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .calculus import (Calculus, CalculusError, RelationId, RelationSet,
-                       allowed_tensor, builtin, load_calculus, save_calculus)
+from .calculus import (MAX_TABLE_RELATIONS, Calculus, CalculusError, RelationId,
+                       RelationSet, RowUnionTables, allowed_tensor, builtin, iter_bits,
+                       load_calculus, save_calculus)
 
 
 class InstanceError(ValueError):
@@ -85,87 +86,70 @@ def make_instance(calc: Calculus, elements: Sequence[str],
         tuple(Constraint(x, y, calc.mask_of(names)) for x, y, names in constraints))
 
 
-def _pair_table(n: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    pairs: list[tuple[int, int]] = []
-    index = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            index[i][j] = index[j][i] = len(pairs)
-            pairs.append((i, j))
-    return pairs, index
-
-
 class Network:
-    """Mutable canonical-pair domain store for one solving run."""
+    """Mutable domain store for one solving run.
 
-    __slots__ = ("calculus", "elements", "domains", "pairs", "pair_index", "_elem_ids")
+    ``matrix[i, j]`` is the relation-set mask of the ordered pair (i, j).  The
+    matrix holds both orientations (``matrix[j, i]`` is the converse image of
+    ``matrix[i, j]``) and equality on the diagonal.
+    """
 
-    def __init__(self, calculus: Calculus, elements: tuple[str, ...],
-                 domains: list[RelationSet]):
+    __slots__ = ("calculus", "elements", "matrix", "_elem_ids")
+
+    def __init__(self, calculus: Calculus, elements: tuple[str, ...], matrix: np.ndarray):
+        n = len(elements)
+        if matrix.shape != (n, n) or matrix.dtype != np.int16 or not matrix.flags.c_contiguous:
+            raise InstanceError("domain matrix must be a contiguous n x n int16 array")
         self.calculus = calculus
         self.elements = elements
-        self.pairs, self.pair_index = _pair_table(len(elements))
-        if len(domains) != len(self.pairs):
-            raise InstanceError("domain list does not match the pair count")
-        self.domains = domains
+        self.matrix = matrix
         self._elem_ids = {name: i for i, name in enumerate(elements)}
 
+    @property
+    def domains(self) -> list[RelationSet]:
+        """Domains of the canonical pairs (i, j), i < j, in row-major pair order."""
+        return self.matrix[np.triu_indices(len(self.elements), 1)].tolist()
+
     def domain_between(self, x: str, y: str) -> RelationSet:
-        i = self._elem_ids[x]
-        j = self._elem_ids[y]
-        if i == j:
-            return 1 << self.calculus.equality
-        mask = self.domains[self.pair_index[i][j]]
-        return mask if i < j else self.calculus.converse_set(mask)
+        return int(self.matrix[self._elem_ids[x], self._elem_ids[y]])
 
     def first_empty_pair(self) -> tuple[str, str] | None:
-        for p, mask in enumerate(self.domains):
-            if mask == 0:
-                i, j = self.pairs[p]
-                return (self.elements[i], self.elements[j])
-        return None
+        rows, cols = np.nonzero(np.triu(self.matrix == 0, 1))
+        if not len(rows):
+            return None
+        return (self.elements[rows[0]], self.elements[cols[0]])
 
 
 def build_network(inst: Instance) -> Network:
-    """Fold the constraints into per-pair domains.
+    """Fold the constraints into the pair domains.
 
-    A constraint on a reversed pair lands on the canonical pair as its
-    converse image.  Domains may come out empty; that is trivial
-    unsatisfiability, visible via ``first_empty_pair``, not an exception.
+    A constraint on a reversed pair lands on the canonical pair (i < j) as its
+    converse image; the lower triangle is the converse image of the upper one.
+    Domains may come out empty; that is trivial unsatisfiability, visible via
+    ``first_empty_pair``, not an exception.
     """
     calc = inst.calculus
+    if calc.n_relations > MAX_TABLE_RELATIONS:
+        raise UnsupportedCalculusError(
+            f"calculus {calc.name!r} has {calc.n_relations} relations; the solver "
+            f"supports at most {MAX_TABLE_RELATIONS}")
     if not calc.has_unique_converse:
         raise UnsupportedCalculusError(
             f"calculus {calc.name!r} violates converse-uniqueness; the canonical-pair "
             "network cannot represent it")
     n = len(inst.elements)
-    net = Network(calc, inst.elements, [calc.base_label_mask] * (n * (n - 1) // 2))
+    net = Network(calc, inst.elements, np.full((n, n), calc.base_label_mask, dtype=np.int16))
+    matrix = net.matrix
     for c in inst.constraints:
         i, j = net._elem_ids[c.x], net._elem_ids[c.y]
-        mask = c.rels if i < j else calc.converse_set(c.rels)
-        net.domains[net.pair_index[i][j]] &= mask
+        if i < j:
+            matrix[i, j] &= c.rels
+        else:
+            matrix[j, i] &= calc.converse_set(c.rels)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    matrix.T[upper] = calc.row_union_tables.conv[matrix[upper]]
+    np.fill_diagonal(matrix, 1 << calc.equality)
     return net
-
-
-def _prop_compose_fn(calc: Calculus):
-    # Effective composition for propagation: the forward table cell
-    # intersected with the converse-mirrored one, so both orientations of a
-    # triangle are enforced even for tables breaking the converse-composition
-    # law.  For law-abiding tables the two sides coincide.
-    comp = calc.compose_set
-    conv = calc.converse_set
-    shift = calc.n_relations
-    memo: dict[int, int] = {}
-
-    def prop(left: int, right: int) -> int:
-        key = (left << shift) | right
-        got = memo.get(key)
-        if got is None:
-            got = comp(left, right) & conv(comp(conv(right), conv(left)))
-            memo[key] = got
-        return got
-
-    return prop
 
 
 def _loose_value_order(calc: Calculus) -> list[RelationSet]:
@@ -183,25 +167,53 @@ def _loose_value_order(calc: Calculus) -> list[RelationSet]:
     return [1 << r for r in sorted(range(n), key=lambda r: (-looseness(r), r))]
 
 
-class _Engine:
-    """Propagation plus trail-based backtracking over a network's domains."""
+def _union_row(tables: RowUnionTables, left: RelationSet) -> np.ndarray:
+    """``prop(left, M)`` for every mask ``M``: the union of ``fwd[a]`` over the
+    relations ``a`` in ``left``, intersected with the union of ``mir[a]``."""
+    bits = list(iter_bits(left))
+    row = np.bitwise_or.reduce(tables.fwd[bits], axis=0)
+    if tables.mir is not tables.fwd:
+        row &= np.bitwise_or.reduce(tables.mir[bits], axis=0)
+    row.setflags(write=False)
+    return row
 
-    __slots__ = ("net", "n", "domains", "pair_index", "pairs", "conv", "comp",
-                 "in_queue", "queue", "trail", "deadline", "_ticks", "full", "heap")
+
+class _Engine:
+    """Propagation plus trail-based backtracking over a network's domain matrix.
+
+    A pair is named by the flat index ``i * n + j`` of its canonical cell
+    (i < j), so pair order is flat order.  Popping pair (i, j) revises the whole
+    of row i through row j with one lookup in the row union of D(i, j), then
+    row j through the revised row i; the cells that changed, and their
+    converses, are written, trailed and queued in the order of a per-k sweep.
+    """
+
+    __slots__ = ("n", "matrix", "cells", "pairs", "full", "union_row", "conv", "in_queue",
+                 "queue", "trail_pairs", "trail_masks", "trail_len", "heap", "deadline",
+                 "_ticks")
 
     def __init__(self, net: Network, deadline: float | None = None):
-        self.net = net
-        self.n = len(net.elements)
-        self.domains = net.domains
-        self.pair_index = net.pair_index
-        self.pairs = net.pairs
-        self.conv = net.calculus.converse_set
-        self.comp = _prop_compose_fn(net.calculus)
-        self.full = net.calculus.full_set
-        self.in_queue = bytearray(len(net.pairs))
+        calc = net.calculus
+        tables = calc.row_union_tables
+        n = len(net.elements)
+        self.n = n
+        self.matrix = net.matrix
+        self.cells = net.matrix.reshape(-1)
+        rows, cols = np.triu_indices(n, 1)
+        self.pairs = rows * n + cols
+        self.full = calc.full_set
+        # a row has 2^K entries, so only the recently used lefts keep theirs
+        self.union_row = lru_cache(maxsize=64)(partial(_union_row, tables))
+        self.conv = tables.conv
+        self.in_queue = bytearray(n * n)
         self.queue: deque[int] = deque()
-        self.trail: list[tuple[int, int]] = []
-        self.heap: list[tuple[int, int]] = []
+        # a pair's domain shrinks at most K times on one branch
+        capacity = n * (n - 1) // 2 * (calc.n_relations + 1)
+        self.trail_pairs = np.empty(capacity, dtype=np.int32)
+        self.trail_masks = np.empty(capacity, dtype=np.int16)
+        self.trail_len = 0
+        # MRV entries (size, pair); built by the first pick_mrv, the only reader
+        self.heap: list[tuple[int, int]] | None = None
         self.deadline = deadline
         self._ticks = 0
 
@@ -215,93 +227,107 @@ class _Engine:
             self.queue.append(p)
 
     def seed_initial(self) -> None:
-        full = self.full
-        for p, mask in enumerate(self.domains):
-            if mask != full:
-                self.enqueue(p)
+        for p in self.pairs[self.cells[self.pairs] != self.full].tolist():
+            self.enqueue(p)
 
-    def _shrink(self, p: int, new: RelationSet, record: bool) -> None:
+    def _push_mrv(self, p: int, mask: RelationSet) -> None:
+        if mask & (mask - 1):
+            heapq.heappush(self.heap, (mask.bit_count(), p))
+
+    def _revise(self, i: int, j: int, left: RelationSet,
+                record: bool) -> tuple[list[int], list[RelationSet]]:
+        """D(i,k) &= prop(D(i,j), D(j,k)) for every k outside {i, j}.
+
+        Writes the changed cells and their converses (trailed when
+        ``record``) and returns the changed k and their new masks.
+        """
+        matrix = self.matrix
+        row = matrix[i]
+        new = row & self.union_row(left).take(matrix[j])
+        new[i] = row[i]
+        new[j] = left
+        ks = (new != row).nonzero()[0]
+        if not ks.size:
+            return [], []
+        masks = new[ks]
         if record:
-            self.trail.append((p, self.domains[p]))
-        self.domains[p] = new
-        if not self.in_queue[p]:
-            self.in_queue[p] = 1
-            self.queue.append(p)
-        size = new.bit_count()
-        if size > 1:
-            heapq.heappush(self.heap, (size, p))
+            # trail the canonical cell of each pair {i, k} with its old mask
+            start = self.trail_len
+            self.trail_len = start + ks.size
+            above = ks > i
+            self.trail_pairs[start:self.trail_len] = np.where(above, i * self.n + ks,
+                                                              ks * self.n + i)
+            self.trail_masks[start:self.trail_len] = np.where(above, row[ks], matrix[ks, i])
+        row[ks] = masks
+        matrix[ks, i] = self.conv[masks]
+        return ks.tolist(), masks.tolist()
 
     def propagate(self, record: bool) -> int | None:
         """Run the triangle fixpoint; returns the first emptied pair or None."""
-        domains = self.domains
-        pair_index = self.pair_index
-        pairs = self.pairs
-        conv = self.conv
-        comp = self.comp
+        matrix = self.matrix
+        n = self.n
         queue = self.queue
         in_queue = self.in_queue
-        n = self.n
         while queue:
             self._ticks += 1
             if self._ticks & 0x3F == 0:
                 self._check_deadline()
             p = queue.popleft()
             in_queue[p] = 0
-            d_ij = domains[p]
-            if d_ij == 0:
+            i, j = divmod(p, n)
+            left = int(matrix[i, j])
+            if left == 0:
                 return p
-            i, j = pairs[p]
-            row_i = pair_index[i]
-            row_j = pair_index[j]
-            d_ji = conv(d_ij)
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                t = row_i[k]
-                q = row_j[k]
-                # target {i,k} through j:  D(i,k) &= c(D(i,j), D(j,k))
-                d_jk = domains[q] if j < k else conv(domains[q])
-                composed = comp(d_ij, d_jk)
-                old = domains[t]
-                new = old & (composed if i < k else conv(composed))
-                if new != old:
-                    self._shrink(t, new, record)
-                    if new == 0:
-                        return t
-                # target {j,k} through i:  D(j,k) &= c(D(j,i), D(i,k))
-                d_ik = domains[t] if i < k else conv(domains[t])
-                composed = comp(d_ji, d_ik)
-                old = domains[q]
-                new = old & (composed if j < k else conv(composed))
-                if new != old:
-                    self._shrink(q, new, record)
-                    if new == 0:
-                        return q
+            ks_i, masks_i = self._revise(i, j, left, record)
+            ks_j, masks_j = self._revise(j, i, int(matrix[j, i]), record)
+            # queue as a sweep over k would: (i,k) before (j,k), k ascending
+            events = [(k << 1, mask) for k, mask in zip(ks_i, masks_i)]
+            events += [(k << 1 | 1, mask) for k, mask in zip(ks_j, masks_j)]
+            if ks_i and ks_j:
+                events.sort()
+            for key, mask in events:
+                a = j if key & 1 else i
+                k = key >> 1
+                q = a * n + k if a < k else k * n + a
+                if not in_queue[q]:
+                    in_queue[q] = 1
+                    queue.append(q)
+                if mask == 0:
+                    return q
+                if self.heap is not None:
+                    self._push_mrv(q, mask)
         return None
 
     def undo_to(self, mark: int) -> None:
-        trail = self.trail
-        domains = self.domains
-        heap = self.heap
-        while len(trail) > mark:
-            p, old = trail.pop()
-            domains[p] = old
-            size = old.bit_count()
-            if size > 1:
-                heapq.heappush(heap, (size, p))
+        if self.trail_len > mark:
+            # newest entry first, so a pair trailed twice gets its oldest mask
+            pairs = self.trail_pairs[mark:self.trail_len][::-1].astype(np.intp)
+            masks = self.trail_masks[mark:self.trail_len][::-1]
+            self.cells[pairs] = masks
+            self.cells[pairs % self.n * self.n + pairs // self.n] = self.conv[masks]
+            if self.heap is not None:
+                for p, mask in zip(pairs.tolist(), masks.tolist()):
+                    self._push_mrv(p, mask)
+            self.trail_len = mark
         if self.queue:
             self.queue.clear()
-            self.in_queue = bytearray(len(self.pairs))
+            self.in_queue = bytearray(self.n * self.n)
 
     # -- search -------------------------------------------------------------
 
     def pick_mrv(self) -> int | None:
         """Undecided pair with the fewest values, ties by pair order."""
         heap = self.heap
-        domains = self.domains
+        cells = self.cells
+        if heap is None:
+            sizes = np.bitwise_count(cells[self.pairs])
+            undecided = sizes > 1
+            heap = self.heap = list(zip(sizes[undecided].tolist(),
+                                        self.pairs[undecided].tolist()))
+            heapq.heapify(heap)
         while heap:
             size, p = heap[0]
-            cur = domains[p].bit_count()
+            cur = int(cells[p]).bit_count()
             if cur <= 1:
                 heapq.heappop(heap)
                 continue
@@ -313,10 +339,9 @@ class _Engine:
         return None
 
     def pick_first_undecided(self) -> int | None:
-        for p, mask in enumerate(self.domains):
-            if mask.bit_count() > 1:
-                return p
-        return None
+        undecided = np.bitwise_count(self.cells[self.pairs]) > 1
+        first = int(undecided.argmax())
+        return int(self.pairs[first]) if undecided[first] else None
 
     def search(self, pick: Callable[["_Engine"], int | None],
                value_bits: Sequence[RelationSet]) -> Iterator[list[RelationSet]]:
@@ -324,20 +349,17 @@ class _Engine:
 
         ``pick`` chooses the pair to branch on (None once every pair is
         decided); values are tried in ``value_bits`` order.  Yields the
-        decided domain list at every consistent leaf; it is only valid until
-        the generator resumes.
+        decided domains of the canonical pairs, in pair order, at every
+        consistent leaf.
         """
-        domains = self.domains
-        trail = self.trail
-        self.heap = [(mask.bit_count(), p) for p, mask in enumerate(domains)
-                     if mask.bit_count() > 1]
-        heapq.heapify(self.heap)
+        cells = self.cells
+        n = self.n
         p = pick(self)
         if p is None:
-            yield domains
+            yield self.cells[self.pairs].tolist()
             return
         # frames: [pair, remaining value bits, trail mark]
-        stack: list[list[int]] = [[p, domains[p], len(trail)]]
+        stack: list[list[int]] = [[p, int(cells[p]), self.trail_len]]
         while stack:
             self._check_deadline()
             frame = stack[-1]
@@ -350,16 +372,20 @@ class _Engine:
                 if remaining & bit:
                     break
             frame[1] = remaining ^ bit
-            trail.append((pv, domains[pv]))
-            domains[pv] = bit
+            self.trail_pairs[self.trail_len] = pv
+            self.trail_masks[self.trail_len] = cells[pv]
+            self.trail_len += 1
+            i, j = divmod(pv, n)
+            cells[pv] = bit
+            cells[j * n + i] = self.conv[bit]
             self.enqueue(pv)
             if self.propagate(record=True) is not None:
                 continue
             p = pick(self)
             if p is None:
-                yield domains
+                yield self.cells[self.pairs].tolist()
                 continue
-            stack.append([p, domains[p], len(trail)])
+            stack.append([p, int(cells[p]), self.trail_len])
 
 
 def _close(net: Network, deadline: float | None) -> tuple[_Engine, tuple[str, str] | None]:
@@ -376,7 +402,7 @@ def _close(net: Network, deadline: float | None) -> tuple[_Engine, tuple[str, st
     failed = engine.propagate(record=False)
     if failed is None:
         return engine, None
-    i, j = net.pairs[failed]
+    i, j = divmod(failed, engine.n)
     return engine, (net.elements[i], net.elements[j])
 
 

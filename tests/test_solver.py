@@ -1,9 +1,12 @@
 import hashlib
 import json
 import random
+import time
+from itertools import islice
 
 import pytest
 
+import reference_engine
 import trajcalc.solver
 from trajcalc.bench import (reveal_pairs_exp1, reveal_pairs_exp2, revealed_instance,
                             synthetic_trajectories)
@@ -18,6 +21,23 @@ from conftest import random_small_instance
 
 def model_dicts(models):
     return [m.to_dict() for m in models]
+
+
+def seeded_instance(experiment, mode, n, k, seed):
+    trajs = synthetic_trajectories(mode, n, seed)
+    pairs = reveal_pairs_exp1(n, seed) if experiment == "exp1" \
+        else reveal_pairs_exp2(n, k, seed)
+    return revealed_instance(mode, trajs, pairs)
+
+
+def tight_random_instance(calc, n, rng):
+    """Constraints without dis and i, so branching order and backtracking
+    show in the models."""
+    names = [f"e{i}" for i in range(n)]
+    tight = [r for r in calc.relations if r not in ("dis", "i")]
+    return make_instance(calc, names, [(x, y, rng.sample(tight, rng.randint(1, 3)))
+                                       for i, x in enumerate(names) for y in names[i + 1:]
+                                       if rng.random() < 0.5])
 
 
 class TestBuildNetwork:
@@ -51,6 +71,28 @@ class TestBuildNetwork:
         assert not calc.has_unique_converse
         with pytest.raises(UnsupportedCalculusError):
             build_network(make_instance(calc, ["x", "y"]))
+
+    @staticmethod
+    def _wide_calculus(k):
+        # eq composes only with itself to eq; every other cell is "anything but eq"
+        full = (1 << k) - 1
+        names = ("eq",) + tuple(f"r{r}" for r in range(1, k))
+        table = tuple(tuple(1 if a == b else full & ~1 for b in range(k)) for a in range(k))
+        return Calculus(f"wide{k}", names, 0, tuple(range(k)), table)
+
+    def test_refuses_calculus_with_more_than_15_relations(self):
+        calc = self._wide_calculus(16)
+        assert calc.has_unique_converse
+        with pytest.raises(UnsupportedCalculusError, match="at most 15"):
+            build_network(make_instance(calc, ["x", "y"]))
+
+    def test_fifteen_relations_supported(self):
+        calc = self._wide_calculus(15)
+        models = enumerate_models(make_instance(calc, ["x", "y"]))
+        assert [m.name_of("x", "y") for m in models] == list(calc.relations)
+        inst = make_instance(calc, ["x", "y", "z"], [("x", "y", ["r14"]), ("z", "y", ["r14"])])
+        model = solve(inst)
+        assert model is not None and model.name_of("y", "x") == "r14"
 
 
 class TestClosure:
@@ -141,7 +183,6 @@ class TestSolveAndEnumerate:
                 model_dicts(enumerate_models(inst, limit=50))
 
     def test_timeout_raises(self, tc6):
-        import time
         elements = [f"e{i}" for i in range(40)]
         inst = make_instance(tc6, elements)
         with pytest.raises(SolveTimeout):
@@ -161,6 +202,114 @@ class TestSolveAndEnumerate:
                 assert thr is None
             else:
                 assert thr is not None and thr.values == seq.values
+
+    def test_deadline_expiring_during_closure(self):
+        inst = seeded_instance("exp2", "tc6", 100, 99, 0)
+        algebraic_closure(build_network(inst))  # builds the calculus tables
+        start = time.monotonic()
+        algebraic_closure(build_network(inst))
+        full = time.monotonic() - start
+        net = build_network(inst)
+        # the deadline lies ahead when the closure starts, so it expires midway
+        deadline = time.monotonic() + full / 4
+        with pytest.raises(SolveTimeout):
+            algebraic_closure(net, deadline)
+        assert time.monotonic() - deadline < 1.0
+
+    def test_deadline_expiring_during_search(self):
+        inst = seeded_instance("exp1", "tc10", 150, 1, 0)
+        start = time.monotonic()
+        assert solve(inst) is not None
+        full = time.monotonic() - start
+        closure_start = time.monotonic()
+        algebraic_closure(build_network(inst))
+        assert time.monotonic() - closure_start < full / 4  # so search is running at full / 2
+        deadline = time.monotonic() + full / 2
+        with pytest.raises(SolveTimeout):
+            solve(inst, deadline)
+        assert time.monotonic() - deadline < 1.0
+
+    def test_enumeration_keeps_no_mrv_heap(self, tc10):
+        # only the MRV pick reads the heap, so enumeration must not fill it
+        inst = seeded_instance("exp2", "tc10", 6, 4, 19)
+        net = build_network(inst)
+        engine, failed = trajcalc.solver._close(net, None)
+        assert failed is None
+        declared = [1 << r for r in range(tc10.n_relations)]
+        leaves = sum(1 for _ in engine.search(trajcalc.solver._Engine.pick_first_undecided,
+                                              declared))
+        assert leaves == len(enumerate_models(inst))
+        assert len(engine.heap or ()) <= len(net.domains)
+
+
+class TestReferenceEngine:
+    """The dense-matrix engine against the canonical-pair engine kept in
+    ``tests/reference_engine.py``: the same closed domains pair for pair, the
+    same first emptied pair, and the same ``solve`` / ``enumerate_models``
+    output."""
+
+    @staticmethod
+    def _assert_same_closure(inst):
+        domains, failed = reference_engine.closure(inst)
+        net = build_network(inst)
+        assert algebraic_closure(net) == failed
+        if failed is None:
+            assert net.domains == domains
+
+    @staticmethod
+    def _assert_same_models(inst, limit):
+        # solve's model and the leaves after it in the same MRV / loose-first
+        # order, which backtrack through the MRV heap
+        loose = trajcalc.solver._loose_value_order(inst.calculus)
+        want = model_dicts(islice(
+            reference_engine._models(inst, reference_engine._Engine.pick_mrv, loose), limit))
+        got = trajcalc.solver._models(inst, None, trajcalc.solver._Engine.pick_mrv, loose)
+        assert model_dicts(islice(got, limit)) == want
+        assert model_dicts(filter(None, [solve(inst)])) == want[:1]
+        assert model_dicts(enumerate_models(inst, limit=limit)) == \
+            model_dicts(reference_engine.enumerate_models(inst, limit=limit))
+
+    @pytest.mark.parametrize("experiment, mode, n, k, seed", [
+        ("exp1", "tc6", 100, 1, 21), ("exp1", "tc10", 100, 1, 22),
+        ("exp1", "tc6", 40, 1, 23), ("exp1", "tc10", 40, 1, 24),
+        ("exp2", "tc6", 100, 40, 25), ("exp2", "tc10", 90, 70, 26),
+        ("exp2", "tc6", 30, 10, 27), ("exp2", "tc10", 30, 5, 28),
+    ])
+    def test_revealed_instances(self, experiment, mode, n, k, seed):
+        inst = seeded_instance(experiment, mode, n, k, seed)
+        self._assert_same_closure(inst)
+        self._assert_same_models(inst, limit=3)
+
+    @pytest.mark.parametrize("experiment, mode, n, k, seed", [
+        ("exp1", "tc6", 6, 1, 31), ("exp1", "tc10", 5, 1, 32),
+        ("exp2", "tc6", 7, 5, 33), ("exp2", "tc10", 6, 4, 34),
+    ])
+    def test_small_revealed_enumeration(self, experiment, mode, n, k, seed):
+        self._assert_same_models(seeded_instance(experiment, mode, n, k, seed), limit=200)
+
+    def test_tight_random_instances(self, tc6, tc10):
+        rng = random.Random(41)
+        for t in range(60):
+            inst = tight_random_instance(tc6 if t % 2 else tc10, 4 + t % 5, rng)
+            self._assert_same_closure(inst)
+            self._assert_same_models(inst, limit=20)
+
+    def test_random_calculi_closure(self):
+        # tables breaking the converse-composition law use the mirrored half
+        rng = random.Random(43)
+        checked = mirrored = 0
+        while checked < 150:
+            calc = TestRandomCalculi._random_calculus(rng)
+            if not calc.has_unique_converse:
+                continue
+            names = [f"e{i}" for i in range(rng.randint(6, 8))]
+            constraints = [Constraint(*rng.sample((x, y), 2), rng.randint(1, calc.full_set))
+                           for i, x in enumerate(names) for y in names[i + 1:]
+                           if rng.random() < 0.2]
+            self._assert_same_closure(Instance(calc, tuple(names), tuple(constraints)))
+            mirrored += calc.row_union_tables.mir is not calc.row_union_tables.fwd
+            checked += 1
+        assert mirrored > 100
 
 
 class TestPinnedModels:
@@ -196,10 +345,7 @@ class TestPinnedModels:
 
     @pytest.mark.parametrize("entry, experiment, mode, n, k, seed, limit, digest", CASES)
     def test_model_json_digest(self, entry, experiment, mode, n, k, seed, limit, digest):
-        trajs = synthetic_trajectories(mode, n, seed)
-        pairs = reveal_pairs_exp1(n, seed) if experiment == "exp1" \
-            else reveal_pairs_exp2(n, k, seed)
-        inst = revealed_instance(mode, trajs, pairs)
+        inst = seeded_instance(experiment, mode, n, k, seed)
         if entry == "solve":
             model = solve(inst)
             models = [model] if model is not None else []
