@@ -50,8 +50,8 @@ class RowUnionTables(NamedTuple):
     ``conv[M]`` is the elementwise converse image.  So the propagation
     composition of masks ``L`` and ``R``, ``c(L, R)`` intersected with the
     converse of ``c(conv R, conv L)``, is the union of ``fwd[a][R]`` over ``a``
-    in ``L`` intersected with the union of ``mir[a][R]``.  ``mir`` is ``fwd``
-    itself when the table obeys the converse-composition law.
+    in ``L`` intersected with the union of ``mir[a][R]``.  ``mir`` equals
+    ``fwd`` when the table obeys the converse-composition law.
     """
 
     fwd: np.ndarray
@@ -191,8 +191,6 @@ class Calculus:
         fwd = _mask_unions(table)
         # mirrored cell [a, b] = converse(c(converse b, converse a))
         mir = _mask_unions(conv[table[conv_ids[None, :], conv_ids[:, None]]])
-        if np.array_equal(mir, fwd):
-            mir = fwd
         for array in (fwd, mir, conv):
             array.setflags(write=False)
         return RowUnionTables(fwd, mir, conv)

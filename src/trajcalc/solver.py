@@ -26,9 +26,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .calculus import (MAX_TABLE_RELATIONS, Calculus, CalculusError, RelationId,
-                       RelationSet, RowUnionTables, allowed_tensor, builtin, iter_bits,
-                       load_calculus, save_calculus)
+from .calculus import (Calculus, CalculusError, RelationId, RelationSet, RowUnionTables,
+                       allowed_tensor, builtin, iter_bits, load_calculus, save_calculus)
 
 
 class InstanceError(ValueError):
@@ -129,10 +128,10 @@ def build_network(inst: Instance) -> Network:
     ``first_empty_pair``, not an exception.
     """
     calc = inst.calculus
-    if calc.n_relations > MAX_TABLE_RELATIONS:
-        raise UnsupportedCalculusError(
-            f"calculus {calc.name!r} has {calc.n_relations} relations; the solver "
-            f"supports at most {MAX_TABLE_RELATIONS}")
+    try:
+        conv = calc.row_union_tables.conv
+    except CalculusError as exc:  # too many relations for the tables
+        raise UnsupportedCalculusError(str(exc)) from None
     if not calc.has_unique_converse:
         raise UnsupportedCalculusError(
             f"calculus {calc.name!r} violates converse-uniqueness; the canonical-pair "
@@ -147,7 +146,7 @@ def build_network(inst: Instance) -> Network:
         else:
             matrix[j, i] &= calc.converse_set(c.rels)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    matrix.T[upper] = calc.row_union_tables.conv[matrix[upper]]
+    matrix.T[upper] = conv[matrix[upper]]
     np.fill_diagonal(matrix, 1 << calc.equality)
     return net
 
@@ -172,8 +171,7 @@ def _union_row(tables: RowUnionTables, left: RelationSet) -> np.ndarray:
     relations ``a`` in ``left``, intersected with the union of ``mir[a]``."""
     bits = list(iter_bits(left))
     row = np.bitwise_or.reduce(tables.fwd[bits], axis=0)
-    if tables.mir is not tables.fwd:
-        row &= np.bitwise_or.reduce(tables.mir[bits], axis=0)
+    row &= np.bitwise_or.reduce(tables.mir[bits], axis=0)
     row.setflags(write=False)
     return row
 
@@ -300,9 +298,11 @@ class _Engine:
 
     def undo_to(self, mark: int) -> None:
         if self.trail_len > mark:
-            # newest entry first, so a pair trailed twice gets its oldest mask
-            pairs = self.trail_pairs[mark:self.trail_len][::-1].astype(np.intp)
-            masks = self.trail_masks[mark:self.trail_len][::-1]
+            # a pair trailed more than once gets back its oldest mask
+            pairs, first = np.unique(self.trail_pairs[mark:self.trail_len],
+                                     return_index=True)
+            pairs = pairs.astype(np.intp)
+            masks = self.trail_masks[mark:self.trail_len][first]
             self.cells[pairs] = masks
             self.cells[pairs % self.n * self.n + pairs // self.n] = self.conv[masks]
             if self.heap is not None:
@@ -320,10 +320,9 @@ class _Engine:
         heap = self.heap
         cells = self.cells
         if heap is None:
-            sizes = np.bitwise_count(cells[self.pairs])
-            undecided = sizes > 1
-            heap = self.heap = list(zip(sizes[undecided].tolist(),
-                                        self.pairs[undecided].tolist()))
+            heap = self.heap = [(mask.bit_count(), p) for p, mask in
+                                zip(self.pairs.tolist(), cells[self.pairs].tolist())
+                                if mask & (mask - 1)]
             heapq.heapify(heap)
         while heap:
             size, p = heap[0]
@@ -339,7 +338,8 @@ class _Engine:
         return None
 
     def pick_first_undecided(self) -> int | None:
-        undecided = np.bitwise_count(self.cells[self.pairs]) > 1
+        masks = self.cells[self.pairs]
+        undecided = (masks & (masks - 1)) != 0
         first = int(undecided.argmax())
         return int(self.pairs[first]) if undecided[first] else None
 
