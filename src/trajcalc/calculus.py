@@ -196,6 +196,14 @@ class Calculus:
         return RowUnionTables(fwd, mir, conv)
 
     @cached_property
+    def forbidden_flat(self) -> np.ndarray:
+        """Read-only flattened negation of :func:`allowed_tensor`: entry
+        ``(r1 * K + r2) * K + r3`` is True iff ``r3`` is not in ``c(r1, r2)``."""
+        forbidden = ~allowed_tensor(self).ravel()
+        forbidden.setflags(write=False)
+        return forbidden
+
+    @cached_property
     def has_unique_converse(self) -> bool:
         """True iff for each r, {r' : eq in c(r, r')} is exactly {converse(r)}.
 

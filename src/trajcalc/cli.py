@@ -9,6 +9,7 @@ runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
@@ -37,11 +38,19 @@ class CliError(Exception):
     pass
 
 
-def _write_out(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _open_out(path: str | None):
+    """Text handle for an output path; ``-`` or None is stdout, left open."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+
+
+def _write_out(text: str, path: str | None) -> None:
+    with _open_out(path) as handle:
+        handle.write(text)
 
 
 def _parse_grid_shape(value: str) -> tuple[int, int]:
@@ -187,9 +196,12 @@ def cmd_relations(args) -> int:
         if problems:
             raise CliError(f"trajectory {t.id!r} invalid for {args.calculus}: "
                            + "; ".join(problems))
-    lines = ["id1,id2,relation"]
-    lines += [f"{a},{b},{rel}" for a, b, rel in all_pairs(args.calculus, trajectories)]
-    _write_out("\n".join(lines) + "\n", args.out)
+    # all_pairs checks every trajectory before the output is opened; the
+    # n(n-1)/2 rows are written as they come
+    rows = all_pairs(args.calculus, trajectories)
+    with _open_out(args.out) as handle:
+        handle.write("id1,id2,relation\n")
+        handle.writelines(f"{a},{b},{rel}\n" for a, b, rel in rows)
     return EXIT_OK
 
 

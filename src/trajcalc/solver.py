@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .calculus import (Calculus, CalculusError, RelationId, RelationSet, RowUnionTables,
-                       allowed_tensor, builtin, iter_bits, load_calculus, save_calculus)
+                       builtin, iter_bits, load_calculus, save_calculus)
 
 
 class InstanceError(ValueError):
@@ -567,12 +567,12 @@ def verify_assignment(inst: Instance,
 
     # One first element x at a time, so memory stays O(n^2): entry [y, z] of
     # ``code`` indexes the flattened table at (rel(x,y), rel(y,z), rel(x,z)).
-    forbidden = ~allowed_tensor(calc).ravel()
+    forbidden = calc.forbidden_flat
+    scaled = matrix * k
     composition: list[tuple] = []
     for x in range(n):
         row = matrix[x]
-        code = matrix * k
-        code += row[:, None] * (k * k)
+        code = scaled + row[:, None] * (k * k)
         code += row
         bad = forbidden[code]
         if bad.any():

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterator, Literal, Sequence
+
+import numpy as np
 
 from .calculus import RelationId, builtin_tc6, builtin_tc10
 from .grids import GridSpec, RegionId
@@ -108,31 +111,57 @@ def classify(mode: Mode, t1: Trajectory, t2: Trajectory) -> RelationId:
     return _ladder(mode, t1.regions, t2.regions)
 
 
+# The one decision ladder of ``classify`` and ``all_pairs``: per mode, the
+# rungs in order, each a relation and the pair features that must all hold
+# for it.  The first matching rung wins; no match means ``dis``.
+_RUNGS: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
+    "tc6": (("eq", ("same",)), ("alt", ("ss", "ff")), ("s", ("ss",)), ("f", ("ff",)),
+            ("i", ("share",))),
+    "tc10": (("eq", ("same",)), ("rev", ("reversed",)), ("alt", ("ss", "ff")),
+             ("ret", ("sf", "fs")), ("s", ("ss",)), ("f", ("ff",)), ("ex", ("sf",)),
+             ("exi", ("fs",)), ("i", ("share",))),
+}
+_SEQ, _REV, _START, _FINISH = range(4)
+
+
+def _keys(regions: tuple[RegionId, ...]) -> tuple:
+    """A trajectory's keys, indexed by _SEQ, _REV, _START and _FINISH."""
+    return regions, regions[::-1], regions[0], regions[-1]
+
+
+# Every feature but ``share`` (some region in common) holds iff a key of the
+# first trajectory equals a key of the second.
+_KEY_FEATURES = {
+    "same": (_SEQ, _SEQ),
+    "reversed": (_REV, _SEQ),
+    "ss": (_START, _START),
+    "ff": (_FINISH, _FINISH),
+    "sf": (_START, _FINISH),
+    "fs": (_FINISH, _START),
+}
+# ``_RUNGS`` with each feature as its (first, second) key pair, None for
+# ``share``; ``_ladder`` and ``all_pairs`` both walk this table.
+_KEY_RUNGS = {mode: tuple((name, tuple(_KEY_FEATURES.get(f) for f in features))
+                          for name, features in rungs)
+              for mode, rungs in _RUNGS.items()}
+# Rows of a block of ``all_pairs``: one bit each of a uint64 region mask.
+_BLOCK = 64
+
+
 def _ladder(mode: Mode, a: tuple[RegionId, ...], b: tuple[RegionId, ...]) -> RelationId:
-    # The decision ladder of ``classify``, for region sequences already
-    # checked by ``_check_classifiable``.
+    # For region sequences already checked by ``_check_classifiable``.
     calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
-    if a == b:
-        return calc.rel_id("eq")
-    sa, fa = a[0], a[-1]
-    sb, fb = b[0], b[-1]
-    if mode == "tc10" and a == b[::-1]:
-        return calc.rel_id("rev")
-    if sa == sb and fa == fb:
-        return calc.rel_id("alt")
-    if mode == "tc10" and sa == fb and fa == sb:
-        return calc.rel_id("ret")
-    if sa == sb:
-        return calc.rel_id("s")
-    if fa == fb:
-        return calc.rel_id("f")
-    if mode == "tc10":
-        if sa == fb:
-            return calc.rel_id("ex")
-        if fa == sb:
-            return calc.rel_id("exi")
-    if not set(a).isdisjoint(b):
-        return calc.rel_id("i")
+    # every rung needs a shared region (equal keys share a region), so a
+    # disjoint pair is dis and ``share`` (None below) holds past this test
+    if set(a).isdisjoint(b):
+        return calc.rel_id("dis")
+    ka, kb = _keys(a), _keys(b)
+    for name, tests in _KEY_RUNGS[mode]:
+        for test in tests:
+            if test is not None and ka[test[0]] != kb[test[1]]:
+                break
+        else:
+            return calc.rel_id(name)
     return calc.rel_id("dis")
 
 
@@ -200,15 +229,64 @@ def enumerate_trajectories(grid: GridSpec, max_len: int, mode: Mode) -> Iterator
 def all_pairs(mode: Mode, trajectories: Sequence[Trajectory]) -> Iterator[tuple[str, str, str]]:
     """Classify every unordered pair; yields (id1, id2, relation name) rows.
 
-    Each trajectory is checked once, before the first row, with the same
-    clauses and errors as :func:`classify`.
+    Rows run over ``i < j`` in index order, each equal to ``classify`` on
+    ``(trajectories[i], trajectories[j])``.  Each trajectory is checked here,
+    once, with the same clauses and errors as :func:`classify`, so an error
+    comes before any row.
+
+    Every rung but ``dis`` needs a shared region, and every rung is a test of
+    key equality or of a shared region, so the ladder runs on integer arrays
+    built once: start and finish regions, sequence ids (equal iff the region
+    tuples are equal), reversed-sequence ids and the flat region array.  Rows
+    are classified ``_BLOCK`` values of ``i`` at a time against all later
+    ``j``, in O(_BLOCK * n + total length) memory.
     """
     _check_mode(mode)
     for t in trajectories:
         _check_classifiable(mode, t)
-    names = (builtin_tc6() if mode == "tc6" else builtin_tc10()).relations
-    for i in range(len(trajectories)):
-        ti = trajectories[i]
-        for j in range(i + 1, len(trajectories)):
-            tj = trajectories[j]
-            yield (ti.id, tj.id, names[_ladder(mode, ti.regions, tj.regions)])
+    calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
+    rungs = _KEY_RUNGS[mode]
+    n = len(trajectories)
+    ids: dict = {}
+
+    def intern(value) -> int:
+        return ids.setdefault(value, len(ids))
+
+    lengths = np.fromiter((len(t.regions) for t in trajectories), dtype=np.intp, count=n)
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    flat = np.fromiter((intern(r) for t in trajectories for r in t.regions),
+                       dtype=np.intp, count=int(offsets[-1]))
+    n_regions = len(ids)
+    # region and tuple keys share one id space, so equal keys get equal ids
+    tests = {test for _, needs in rungs for test in needs if test is not None}
+    all_keys = [_keys(t.regions) for t in trajectories]
+    keys = {key: np.fromiter((intern(k[key]) for k in all_keys), dtype=np.intp, count=n)
+            for key in {key for test in tests for key in test}}
+    rel_ids = [calc.rel_id(name) for name, _ in rungs]
+    names = np.array(calc.relations, dtype=object)
+    ids_out = [t.id for t in trajectories]
+    shifts = np.arange(_BLOCK, dtype=np.uint64)
+
+    def rows() -> Iterator[tuple[str, str, str]]:
+        for i0 in range(0, n - 1, _BLOCK):
+            i1 = min(i0 + _BLOCK, n - 1)
+            j0 = i0 + 1
+            # bit r of masks[x]: trajectory i0 + r visits region x
+            masks = np.zeros(n_regions, dtype=np.uint64)
+            np.bitwise_or.at(masks, flat[offsets[i0]:offsets[i1]],
+                             np.repeat(np.uint64(1) << shifts[:i1 - i0], lengths[i0:i1]))
+            # bit r of met[c]: trajectories i0 + r and j0 + c share a region
+            met = np.bitwise_or.reduceat(masks[flat[offsets[j0]:]], offsets[j0:n] - offsets[j0])
+            # block x (n - j0) feature matrices; column c is trajectory j0 + c
+            holds = {None: ((met >> shifts[:i1 - i0, None]) & np.uint64(1)).astype(bool)}
+            for left, right in tests:
+                holds[left, right] = keys[left][i0:i1, None] == keys[right][None, j0:]
+            codes = np.select([np.logical_and.reduce([holds[test] for test in needs])
+                               for _, needs in rungs],
+                              rel_ids, default=calc.rel_id("dis"))
+            for r in range(i1 - i0):
+                i = i0 + r
+                yield from zip(repeat(ids_out[i]), ids_out[i + 1:], names[codes[r, r:]].tolist())
+
+    return rows()

@@ -5,6 +5,8 @@ import statistics
 import pytest
 
 from trajcalc.cli import main
+from trajcalc.grids import GridSpec
+from trajcalc.trajectories import random_trajectory
 
 
 def run(capsys, *argv):
@@ -95,6 +97,32 @@ class TestRelations:
                            "--calculus", "tc10", "--grid", "3x3")
         assert code == 2
         assert "'a'" in err and "t1 = tn" in err
+
+    @pytest.mark.parametrize("mode", ["tc6", "tc10"])
+    def test_file_and_stdout_bytes_match(self, capsys, tmp_path, mode):
+        grid = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
+        trajs = [random_trajectory(grid, 2 + seed % 4, mode, seed=seed).with_id(f"t{seed}")
+                 for seed in range(70)]
+        path = self._write_trajs(tmp_path, [f"{t.id}: {' '.join(map(str, t.regions))}"
+                                            for t in trajs])
+        argv = ["relations", "--trajectories", str(path), "--calculus", mode, "--grid", "3x3"]
+        out_file = tmp_path / "relations.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--out", "-")
+        assert code == 0
+        assert out_file.read_bytes() == out.encode("utf-8")
+        lines = out.splitlines()
+        assert lines[0] == "id1,id2,relation" and len(lines) == 1 + 70 * 69 // 2
+
+    def test_invalid_trajectory_leaves_no_output(self, capsys, tmp_path):
+        path = self._write_trajs(tmp_path, ["a: 0 1", "b: 0 4 0"])
+        out_file = tmp_path / "relations.csv"
+        code, out, err = run(capsys, "relations", "--trajectories", str(path),
+                             "--calculus", "tc10", "--grid", "3x3", "--out", str(out_file))
+        assert code == 2
+        assert "'b'" in err and out == ""
+        assert not out_file.exists()
 
 
 class TestSolveCommands:

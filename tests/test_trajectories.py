@@ -1,8 +1,12 @@
+import random
+import tracemalloc
+
 import pytest
 
+from trajcalc.calculus import builtin
 from trajcalc.grids import GridSpec
 from trajcalc.oracle import relations_holding
-from trajcalc.trajectories import (InfeasibleError, InvalidTrajectoryError, Trajectory,
+from trajcalc.trajectories import (_BLOCK, InfeasibleError, InvalidTrajectoryError, Trajectory,
                                    all_pairs, classify, classify_name, enumerate_trajectories,
                                    random_trajectory, validate_trajectory)
 
@@ -107,6 +111,32 @@ class TestAgainstLiteralDefinitions:
             assert classify_name("tc10", t, t.reversed()) == "rev"
 
 
+def _variants(regions):
+    """Region sequences related to ``regions`` by each rung of the ladder:
+    a copy, the reversal, a prefix (same start), a suffix (same finish), a
+    walk back from the finish (starts where ``regions`` finishes), a detour
+    with the same endpoints and one with swapped endpoints."""
+    r = regions
+    return [r, r[::-1], r[:2 + len(r) // 2], r[-2 - len(r) // 2:], r[::-1][:2 + len(r) // 2],
+            r + (r[-2], r[-1]), r[::-1] + (r[1], r[0])]
+
+
+def _pair_population(mode, grid, n, seed):
+    """``n`` valid trajectories: seeded walks plus variants of earlier ones."""
+    rng = random.Random(seed)
+    trajs = []
+    while len(trajs) < n:
+        if trajs and rng.random() < 0.4:
+            regions = rng.choice(_variants(rng.choice(trajs).regions))
+        else:
+            regions = random_trajectory(grid, rng.randint(2, 12), mode,
+                                        seed=rng.randrange(10**9)).regions
+        t = Trajectory(f"t{len(trajs)}", regions)
+        if not validate_trajectory(t, grid, mode):
+            trajs.append(t)
+    return trajs
+
+
 class TestAllPairs:
     @pytest.mark.parametrize("mode", ["tc6", "tc10"])
     def test_rows_match_classify_name(self, mode, grid3):
@@ -117,6 +147,42 @@ class TestAllPairs:
                     for i, a in enumerate(trajs) for b in trajs[i + 1:]]
         assert list(all_pairs(mode, trajs)) == expected
         assert len({rel for _, _, rel in expected}) > 3
+
+    @pytest.mark.parametrize("mode", ["tc6", "tc10"])
+    @pytest.mark.parametrize("shape", [(3, 3), (100, 200)])
+    @pytest.mark.parametrize("n", [0, 1, 2, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    def test_rows_are_the_oracle_relation(self, mode, shape, n):
+        grid = GridSpec(0.0, 1.0, 0.0, 1.0, *shape)
+        trajs = _pair_population(mode, grid, n, seed=f"{mode}:{shape}:{n}")
+        rows = list(all_pairs(mode, trajs))
+        assert [(a, b) for a, b, _ in rows] == [(a.id, b.id) for i, a in enumerate(trajs)
+                                                 for b in trajs[i + 1:]]
+        by_id = {t.id: t for t in trajs}
+        for a, b, rel in rows:
+            assert rel == classify_name(mode, by_id[a], by_id[b])
+            assert relations_holding(mode, by_id[a], by_id[b]) == [rel], (a, b)
+        if n == 2 * _BLOCK + 5:
+            # the variants reach every relation; the wide map stays mostly dis
+            assert {rel for _, _, rel in rows} == set(builtin(mode).relations)
+            if shape == (100, 200):
+                assert sum(rel == "dis" for _, _, rel in rows) > len(rows) / 2
+
+    def test_memory_grows_linearly(self):
+        # consume the rows without keeping them: n x n temporaries would take
+        # the traced peak up about 4x when n doubles, block temporaries 2x
+        grid = GridSpec(0.0, 1.0, 0.0, 1.0, 100, 200)
+        walks = [random_trajectory(grid, 60, "tc10", seed=seed).with_id(f"w{seed}")
+                 for seed in range(2000)]
+        peaks = []
+        for n in (1000, 2000):
+            tracemalloc.start()
+            try:
+                for _ in all_pairs("tc10", walks[:n]):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0], peaks
 
     @pytest.mark.parametrize("mode, bad", [("tc6", traj(0, 0, id="bad")),
                                            ("tc6", traj(0, id="bad")),
