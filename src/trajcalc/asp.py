@@ -23,6 +23,7 @@ hold; other calculi fall back to declaration order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .calculus import Calculus, RelationId, iter_bits
@@ -181,6 +182,12 @@ def _emit_gen(calc: Calculus) -> ProgramText:
 # -- instance facts --------------------------------------------------------------
 
 
+# The element names a fact can carry as they are: a clingo symbolic constant
+# or a non-negative integer without leading zeros.  Anything else would be a
+# variable (``T1``), a syntax error (``a b``) or a different term (``007``).
+_GROUND_NAME = re.compile(r"_*[a-z][A-Za-z0-9_']*|0|[1-9][0-9]*")
+
+
 def _term_key(name: str):
     # clingo orders integer constants numerically; everything else we order
     # lexicographically, matching the symbolic-constant case
@@ -195,6 +202,10 @@ def emit_instance_facts(inst: Instance, kind: str) -> ProgramText:
     """
     if kind not in ENCODINGS:
         raise EmitError(f"unknown encoding {kind!r}, expected one of {ENCODINGS}")
+    for name in inst.elements:
+        if not _GROUND_NAME.fullmatch(name):
+            raise EmitError(f"element name {name!r} is neither an ASP constant "
+                            "(lowercase first letter) nor an integer without leading zeros")
     calc = inst.calculus
     if kind == "gen":
         lines = [f"element({e})." for e in inst.elements]

@@ -151,16 +151,6 @@ class Calculus:
             raise CalculusError(f"relation id out of range: ({r1}, {r2})")
         return self.table[r1][r2]
 
-    def compose_set(self, left: RelationSet, right: RelationSet) -> RelationSet:
-        """Union of ``compose(r1, r2)`` over all ``r1`` in left, ``r2`` in right."""
-        got = 0
-        table = self.table
-        for r1 in iter_bits(left):
-            row = table[r1]
-            for r2 in iter_bits(right):
-                got |= row[r2]
-        return got
-
     @cached_property
     def _conv_memo(self) -> dict[RelationSet, RelationSet]:
         return {}

@@ -21,7 +21,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -104,11 +104,6 @@ class Network:
         self.matrix = matrix
         self._elem_ids = {name: i for i, name in enumerate(elements)}
 
-    @property
-    def domains(self) -> list[RelationSet]:
-        """Domains of the canonical pairs (i, j), i < j, in row-major pair order."""
-        return self.matrix[np.triu_indices(len(self.elements), 1)].tolist()
-
     def domain_between(self, x: str, y: str) -> RelationSet:
         return int(self.matrix[self._elem_ids[x], self._elem_ids[y]])
 
@@ -177,18 +172,19 @@ def _union_row(tables: RowUnionTables, left: RelationSet) -> np.ndarray:
 
 
 class _Engine:
-    """Propagation plus trail-based backtracking over a network's domain matrix.
+    """Propagation plus depth-first search over a network's domain matrix.
 
     A pair is named by the flat index ``i * n + j`` of its canonical cell
     (i < j), so pair order is flat order.  Popping pair (i, j) revises the whole
     of row i through row j with one lookup in the row union of D(i, j), then
     row j through the revised row i; the cells that changed, and their
-    converses, are written, trailed and queued in the order of a per-k sweep.
+    converses, are written, trailed when asked and queued in the order of a
+    per-k sweep.  The trail is allocated only when search first needs to undo.
     """
 
     __slots__ = ("n", "matrix", "cells", "pairs", "full", "union_row", "conv", "in_queue",
                  "queue", "trail_pairs", "trail_masks", "trail_len", "heap", "deadline",
-                 "_ticks")
+                 "failed_decisions", "_ticks")
 
     def __init__(self, net: Network, deadline: float | None = None):
         calc = net.calculus
@@ -205,14 +201,15 @@ class _Engine:
         self.conv = tables.conv
         self.in_queue = bytearray(n * n)
         self.queue: deque[int] = deque()
-        # a pair's domain shrinks at most K times on one branch
-        capacity = n * (n - 1) // 2 * (calc.n_relations + 1)
-        self.trail_pairs = np.empty(capacity, dtype=np.int32)
-        self.trail_masks = np.empty(capacity, dtype=np.int16)
+        # (pair, old mask) entries; allocated by _restart, so None until
+        # search first backtracks
+        self.trail_pairs: np.ndarray | None = None
+        self.trail_masks: np.ndarray | None = None
         self.trail_len = 0
         # MRV entries (size, pair); built by the first pick_mrv, the only reader
         self.heap: list[tuple[int, int]] | None = None
         self.deadline = deadline
+        self.failed_decisions = 0
         self._ticks = 0
 
     def _check_deadline(self) -> None:
@@ -232,40 +229,31 @@ class _Engine:
         if mask & (mask - 1):
             heapq.heappush(self.heap, (mask.bit_count(), p))
 
-    def _revise(self, i: int, j: int, left: RelationSet,
-                record: bool) -> tuple[list[int], list[RelationSet]]:
-        """D(i,k) &= prop(D(i,j), D(j,k)) for every k outside {i, j}.
-
-        Writes the changed cells and their converses (trailed when
-        ``record``) and returns the changed k and their new masks.
-        """
-        matrix = self.matrix
-        row = matrix[i]
-        new = row & self.union_row(left).take(matrix[j])
-        new[i] = row[i]
-        new[j] = left
-        ks = (new != row).nonzero()[0]
-        if not ks.size:
-            return [], []
-        masks = new[ks]
-        if record:
-            # trail the canonical cell of each pair {i, k} with its old mask
-            start = self.trail_len
-            self.trail_len = start + ks.size
-            above = ks > i
-            self.trail_pairs[start:self.trail_len] = np.where(above, i * self.n + ks,
-                                                              ks * self.n + i)
-            self.trail_masks[start:self.trail_len] = np.where(above, row[ks], matrix[ks, i])
-        row[ks] = masks
-        matrix[ks, i] = self.conv[masks]
-        return ks.tolist(), masks.tolist()
+    def _trail(self, a: int, ks: np.ndarray, row: np.ndarray) -> None:
+        """Trail the canonical cell of each pair {a, k} with its current mask."""
+        start = self.trail_len
+        self.trail_len = start + ks.size
+        above = ks > a
+        self.trail_pairs[start:self.trail_len] = np.where(above, a * self.n + ks,
+                                                          ks * self.n + a)
+        self.trail_masks[start:self.trail_len] = np.where(above, row[ks], self.matrix[ks, a])
 
     def propagate(self, record: bool) -> int | None:
-        """Run the triangle fixpoint; returns the first emptied pair or None."""
+        """Run the triangle fixpoint; returns the first emptied pair or None.
+
+        Popping (i, j) sets D(i,k) &= prop(D(i,j), D(j,k)) for every k outside
+        {i, j}, then D(j,k) &= prop(D(j,i), D(i,k)) through the revised row i.
+        Changed cells and their converses are written (trailed when
+        ``record``) and queued in the order of a sweep over k: (i,k) before
+        (j,k), k ascending.
+        """
         matrix = self.matrix
         n = self.n
         queue = self.queue
         in_queue = self.in_queue
+        union_row = self.union_row
+        conv = self.conv
+        heap = self.heap
         while queue:
             self._ticks += 1
             if self._ticks & 0x3F == 0:
@@ -273,27 +261,53 @@ class _Engine:
             p = queue.popleft()
             in_queue[p] = 0
             i, j = divmod(p, n)
-            left = int(matrix[i, j])
+            row_i = matrix[i]
+            row_j = matrix[j]
+            left = int(row_i[j])
             if left == 0:
                 return p
-            ks_i, masks_i = self._revise(i, j, left, record)
-            ks_j, masks_j = self._revise(j, i, int(matrix[j, i]), record)
-            # queue as a sweep over k would: (i,k) before (j,k), k ascending
-            events = [(k << 1, mask) for k, mask in zip(ks_i, masks_i)]
-            events += [(k << 1 | 1, mask) for k, mask in zip(ks_j, masks_j)]
-            if ks_i and ks_j:
-                events.sort()
-            for key, mask in events:
-                a = j if key & 1 else i
-                k = key >> 1
+            new = union_row(left).take(row_j)
+            new &= row_i
+            new[i] = row_i[i]
+            new[j] = left
+            ks_i = (new != row_i).nonzero()[0]
+            if ks_i.size:
+                masks_i = new[ks_i]
+                if record:
+                    self._trail(i, ks_i, row_i)
+                row_i[ks_i] = masks_i
+                matrix[ks_i, i] = conv[masks_i]
+            right = int(row_j[i])
+            new = union_row(right).take(row_i)
+            new &= row_j
+            new[j] = row_j[j]
+            new[i] = right
+            ks_j = (new != row_j).nonzero()[0]
+            if ks_j.size:
+                masks_j = new[ks_j]
+                if record:
+                    self._trail(j, ks_j, row_j)
+                row_j[ks_j] = masks_j
+                matrix[ks_j, j] = conv[masks_j]
+            if ks_i.size and ks_j.size:
+                # i < j, so sorting on (k, row) puts (i,k) before (j,k)
+                events = sorted(chain(zip(ks_i.tolist(), repeat(i), masks_i.tolist()),
+                                      zip(ks_j.tolist(), repeat(j), masks_j.tolist())))
+            elif ks_i.size:
+                events = zip(ks_i.tolist(), repeat(i), masks_i.tolist())
+            elif ks_j.size:
+                events = zip(ks_j.tolist(), repeat(j), masks_j.tolist())
+            else:
+                continue
+            for k, a, mask in events:
                 q = a * n + k if a < k else k * n + a
                 if not in_queue[q]:
                     in_queue[q] = 1
                     queue.append(q)
                 if mask == 0:
                     return q
-                if self.heap is not None:
-                    self._push_mrv(q, mask)
+                if heap is not None and mask & (mask - 1):
+                    heapq.heappush(heap, (mask.bit_count(), q))
         return None
 
     def undo_to(self, mark: int) -> None:
@@ -343,6 +357,18 @@ class _Engine:
         first = int(undecided.argmax())
         return int(self.pairs[first]) if undecided[first] else None
 
+    def _restart(self, closed: np.ndarray) -> None:
+        """Put back the closed domains and start trailing from an empty trail."""
+        np.copyto(self.matrix, closed)
+        self.heap = None
+        self.queue.clear()
+        self.in_queue = bytearray(self.n * self.n)
+        # a pair's domain shrinks at most K times on one branch
+        capacity = len(self.pairs) * (self.full.bit_length() + 1)
+        self.trail_pairs = np.empty(capacity, dtype=np.int32)
+        self.trail_masks = np.empty(capacity, dtype=np.int16)
+        self.trail_len = 0
+
     def search(self, pick: Callable[["_Engine"], int | None],
                value_bits: Sequence[RelationSet]) -> Iterator[list[RelationSet]]:
         """Depth-first search over the closed network's pair domains.
@@ -351,41 +377,65 @@ class _Engine:
         decided); values are tried in ``value_bits`` order.  Yields the
         decided domains of the canonical pairs, in pair order, at every
         consistent leaf.
+
+        The search first runs optimistically and trails nothing.  The first
+        time it has to undo (after a failed decision, or when resumed after
+        a leaf), it restores the closed domains and runs again from the
+        start with trailing on.  The search is deterministic, so the re-run
+        makes the same decisions; it passes over the leaves already yielded.
         """
         cells = self.cells
         n = self.n
-        p = pick(self)
-        if p is None:
-            yield self.cells[self.pairs].tolist()
-            return
-        # frames: [pair, remaining value bits, trail mark]
-        stack: list[list[int]] = [[p, int(cells[p]), self.trail_len]]
-        while stack:
-            self._check_deadline()
-            frame = stack[-1]
-            pv, remaining, mark = frame
-            self.undo_to(mark)
-            if remaining == 0:
-                stack.pop()
-                continue
-            for bit in value_bits:
-                if remaining & bit:
-                    break
-            frame[1] = remaining ^ bit
-            self.trail_pairs[self.trail_len] = pv
-            self.trail_masks[self.trail_len] = cells[pv]
-            self.trail_len += 1
-            i, j = divmod(pv, n)
-            cells[pv] = bit
-            cells[j * n + i] = self.conv[bit]
-            self.enqueue(pv)
-            if self.propagate(record=True) is not None:
-                continue
+        closed = self.matrix.copy()
+        yielded = 0
+        for record in (False, True):
+            if record:
+                self._restart(closed)
             p = pick(self)
             if p is None:
                 yield self.cells[self.pairs].tolist()
-                continue
-            stack.append([p, int(cells[p]), self.trail_len])
+                return
+            seen = 0
+            # frames: [pair, remaining value bits, trail mark]
+            stack: list[list[int]] = [[p, int(cells[p]), 0]]
+            while stack:
+                self._check_deadline()
+                frame = stack[-1]
+                pv, remaining, mark = frame
+                if record:
+                    self.undo_to(mark)
+                if remaining == 0:
+                    stack.pop()
+                    continue
+                for bit in value_bits:
+                    if remaining & bit:
+                        break
+                frame[1] = remaining ^ bit
+                if record:
+                    self.trail_pairs[self.trail_len] = pv
+                    self.trail_masks[self.trail_len] = cells[pv]
+                    self.trail_len += 1
+                i, j = divmod(pv, n)
+                cells[pv] = bit
+                cells[j * n + i] = self.conv[bit]
+                self.enqueue(pv)
+                if self.propagate(record) is not None:
+                    if not record:
+                        break
+                    self.failed_decisions += 1
+                    continue
+                p = pick(self)
+                if p is not None:
+                    stack.append([p, int(cells[p]), self.trail_len])
+                    continue
+                seen += 1
+                if seen > yielded:
+                    yielded = seen
+                    yield self.cells[self.pairs].tolist()
+                if not record:
+                    break
+            else:
+                return
 
 
 def _close(net: Network, deadline: float | None) -> tuple[_Engine, tuple[str, str] | None]:
@@ -514,6 +564,17 @@ def enumerate_models(inst: Instance, limit: int | None = None,
 # -- independent verification ----------------------------------------------------
 
 _VIOLATION_CAP = 64
+# ordered triples checked per numpy operation, unless one first element has more
+_VERIFY_TRIPLES = 1 << 16
+
+
+@lru_cache(maxsize=1)  # enumeration verifies many models of one size in a row
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the canonical pairs (i < j), in pair order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -542,12 +603,11 @@ def verify_assignment(inst: Instance,
     if isinstance(assignment, Assignment):
         if assignment.elements != names:
             raise InstanceError("assignment elements do not match the instance")
-        # the upper triangle's True cells run in canonical pair order
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        rows, cols = _upper_triangle(n)
         values = np.asarray(assignment.values, dtype=np.intp)
         matrix = np.full((n, n), assignment.calculus.equality, dtype=np.intp)
-        matrix[upper] = values
-        matrix.T[upper] = np.asarray(assignment.calculus.converse, dtype=np.intp)[values]
+        matrix[rows, cols] = values
+        matrix[cols, rows] = np.asarray(assignment.calculus.converse, dtype=np.intp)[values]
     else:
         matrix = np.empty((n, n), dtype=np.intp)
         for i, x in enumerate(names):
@@ -559,25 +619,28 @@ def verify_assignment(inst: Instance,
                 matrix[i, j] = calc.rel_id(val) if isinstance(val, str) else val
     if n and not (0 <= matrix.min() and matrix.max() < k):
         raise InstanceError("assignment mentions relation ids outside the calculus")
+    matrix = matrix.astype(np.int32)  # the table codes below stay under k**3
 
     violations: list[tuple] = []
     for i in range(n):
         if matrix[i, i] != calc.equality:
             violations.append(("identity", names[i]))
 
-    # One first element x at a time, so memory stays O(n^2): entry [y, z] of
-    # ``code`` indexes the flattened table at (rel(x,y), rel(y,z), rel(x,z)).
+    # A chunk of first elements x at a time, so memory stays O(n^2): entry
+    # [x, y, z] of ``code`` indexes the flattened table at (rel(x,y),
+    # rel(y,z), rel(x,z)), and argwhere lists violations in (x, y, z) order.
     forbidden = calc.forbidden_flat
     scaled = matrix * k
+    chunk = max(1, _VERIFY_TRIPLES // max(n * n, 1))
     composition: list[tuple] = []
-    for x in range(n):
-        row = matrix[x]
-        code = scaled + row[:, None] * (k * k)
-        code += row
+    for start in range(0, n, chunk):
+        block = matrix[start:start + chunk]
+        code = block[:, :, None] * (k * k) + scaled
+        code += block[:, None, :]
         bad = forbidden[code]
         if bad.any():
-            composition += [("composition", names[x], names[y], names[z])
-                            for y, z in np.argwhere(bad)[:_VIOLATION_CAP - len(composition)]]
+            composition += [("composition", names[start + x], names[y], names[z])
+                            for x, y, z in np.argwhere(bad)[:_VIOLATION_CAP - len(composition)]]
             if len(composition) == _VIOLATION_CAP:
                 break
     violations += composition

@@ -12,11 +12,30 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from trajcalc.calculus import Calculus, RelationSet
+import numpy as np
+
+import trajcalc.solver
+from trajcalc.calculus import Calculus, RelationSet, iter_bits
 from trajcalc.solver import Assignment, Instance, InstanceError, SolveTimeout
+
+
+def compose_set(calc: Calculus, left: RelationSet, right: RelationSet) -> RelationSet:
+    """Union of ``calc.compose(r1, r2)`` over all ``r1`` in left, ``r2`` in right."""
+    got = 0
+    for r1 in iter_bits(left):
+        row = calc.table[r1]
+        for r2 in iter_bits(right):
+            got |= row[r2]
+    return got
+
+
+def dense_domains(net: trajcalc.solver.Network) -> list[RelationSet]:
+    """Domains of a dense network's canonical pairs (i, j), i < j, in pair order."""
+    return net.matrix[np.triu_indices(len(net.elements), 1)].tolist()
 
 
 def _pair_table(n: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -68,7 +87,7 @@ def _prop_compose_fn(calc: Calculus):
     # intersected with the converse-mirrored one, so both orientations of a
     # triangle are enforced even for tables breaking the converse-composition
     # law.  For law-abiding tables the two sides coincide.
-    comp = calc.compose_set
+    comp = partial(compose_set, calc)
     conv = calc.converse_set
     shift = calc.n_relations
     memo: dict[int, int] = {}

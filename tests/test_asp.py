@@ -7,9 +7,11 @@ follow the same generation schemes.  One reference line is a known erratum,
 listed separately with its correction.
 """
 
+import re
+
 import pytest
 
-from trajcalc.asp import (EmitError, ProgramText, emit_instance_facts, emit_program,
+from trajcalc.asp import (ENCODINGS, EmitError, ProgramText, emit_instance_facts, emit_program,
                           normalize_line, program_contains)
 from trajcalc.solver import make_instance
 
@@ -335,6 +337,20 @@ class TestInstanceFacts:
                              [("t1", "t2", ["s"]), ("t2", "t1", ["f"])])
         with pytest.raises(EmitError, match="conflicting"):
             emit_instance_facts(inst, "ctsa2")
+
+    @pytest.mark.parametrize("kind", ENCODINGS)
+    @pytest.mark.parametrize("name", ["T1", "a b", "007", "\u00b2"])
+    def test_names_that_are_not_ground_terms_rejected(self, tc6, kind, name):
+        # T1 would be a variable, "a b" a syntax error, 007 the integer 7
+        inst = make_instance(tc6, ["t1", name], [("t1", name, ["dis"])])
+        with pytest.raises(EmitError, match=re.escape(repr(name))):
+            emit_instance_facts(inst, kind)
+
+    def test_ground_names_accepted(self, tc6):
+        names = ["t1", "_x'", "aB_9", "0", "10"]
+        inst = make_instance(tc6, names, [("t1", "10", ["dis"])])
+        for kind in ENCODINGS:
+            emit_instance_facts(inst, kind)
 
     def test_normalize_line(self):
         assert normalize_line("a(X, Y)  :-  b(X).") == "a(X,Y):-b(X)."

@@ -6,6 +6,7 @@ import pytest
 
 from trajcalc.cli import main
 from trajcalc.grids import GridSpec
+from trajcalc.solver import instance_to_json, make_instance
 from trajcalc.trajectories import random_trajectory
 
 
@@ -32,7 +33,6 @@ def points_csv(tmp_path):
 
 @pytest.fixture()
 def example_file(tmp_path, example_instance):
-    from trajcalc.solver import instance_to_json
     path = tmp_path / "ex1.json"
     path.write_text(instance_to_json(example_instance), encoding="utf-8")
     return path
@@ -172,17 +172,30 @@ class TestEmitVerifyCalculus:
         table_lines = [l for l in out.splitlines() if l.startswith("table(")]
         assert sum(l.count(";") + 1 for l in table_lines) == 81
 
-    def test_emit_with_instance_facts(self, capsys, tmp_path, example_file):
+    def test_emit_with_instance_facts(self, capsys, tmp_path, tc6):
+        instance = tmp_path / "ex1.json"
+        instance.write_text(instance_to_json(make_instance(
+            tc6, ["t1", "t2", "t3"], [("t1", "t2", ["dis"]), ("t2", "t3", ["eq", "alt"])])),
+            encoding="utf-8")
         prog = tmp_path / "prog.lp"
         facts = tmp_path / "facts.lp"
         code, _, _ = run(capsys, "emit", "--calculus", "tc6", "--encoding", "gen",
-                         "--instance", str(example_file),
+                         "--instance", str(instance),
                          "--out", str(prog), "--facts-out", str(facts))
         assert code == 0
         assert "table(" in prog.read_text()
         facts_text = facts.read_text()
-        assert "element(T1)." in facts_text
-        assert "possible(T1,dis,T2)." in facts_text
+        assert "element(t1)." in facts_text
+        assert "possible(t1,dis,t2)." in facts_text
+
+    def test_emit_refuses_names_that_are_not_ground_terms(self, capsys, tmp_path, example_file):
+        # T1 would be an ASP variable in a fact
+        facts = tmp_path / "facts.lp"
+        code, _, err = run(capsys, "emit", "--calculus", "tc6", "--encoding", "gen",
+                           "--instance", str(example_file), "--facts-out", str(facts))
+        assert code == 2
+        assert "'T1'" in err
+        assert not facts.exists()
 
     def test_verify_clean_exit_0(self, capsys, tmp_path):
         report = tmp_path / "report.json"

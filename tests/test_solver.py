@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 import json
+import os
 import random
 import time
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -12,6 +15,7 @@ import trajcalc.solver
 from trajcalc.bench import (reveal_pairs_exp1, reveal_pairs_exp2, revealed_instance,
                             synthetic_trajectories)
 from trajcalc.calculus import Calculus, builtin_tc6
+from trajcalc.oracle import brute_force_solve
 from trajcalc.solver import (Assignment, Constraint, Instance, InstanceError, SolveTimeout,
                              UnsupportedCalculusError, VerificationResult, algebraic_closure,
                              build_network, enumerate_models, instance_to_json, load_instance,
@@ -39,6 +43,59 @@ def tight_random_instance(calc, n, rng):
     return make_instance(calc, names, [(x, y, rng.sample(tight, rng.randint(1, 3)))
                                        for i, x in enumerate(names) for y in names[i + 1:]
                                        if rng.random() < 0.5])
+
+
+def singleton_network(calc, n, rng):
+    """Each pair constrained to one random relation, in a random orientation,
+    or left unconstrained."""
+    names = [f"e{i}" for i in range(n)]
+    absent = 0.3 if rng.random() < 0.5 else 0.5
+    return make_instance(calc, names, [(*rng.sample((x, y), 2), [rng.choice(calc.relations)])
+                                       for i, x in enumerate(names) for y in names[i + 1:]
+                                       if rng.random() >= absent])
+
+
+def searched_engine(inst, entry, limit=None):
+    """The engine after the search behind ``solve`` (entry "solve") or
+    ``enumerate_models`` has given up to ``limit`` leaves."""
+    calc = inst.calculus
+    engine, failed = trajcalc.solver._close(build_network(inst), None)
+    assert failed is None
+    if entry == "solve":
+        leaves = engine.search(trajcalc.solver._Engine.pick_mrv,
+                               trajcalc.solver._loose_value_order(calc))
+        limit = 1
+    else:
+        leaves = engine.search(trajcalc.solver._Engine.pick_first_undecided,
+                               [1 << r for r in range(calc.n_relations)])
+    for _ in islice(leaves, limit):
+        pass
+    return engine
+
+
+def random_calculus_instances(seed):
+    """Instances of 5-7 elements over random calculi that pass the
+    converse-uniqueness gate, most of them breaking some other law."""
+    rng = random.Random(seed)
+    while True:
+        calc = TestRandomCalculi._random_calculus(rng)
+        if not calc.has_unique_converse:
+            continue
+        names = [f"e{i}" for i in range(rng.randint(5, 7))]
+        yield Instance(calc, tuple(names), tuple(
+            Constraint(*rng.sample((x, y), 2), rng.randint(1, calc.full_set))
+            for i, x in enumerate(names) for y in names[i + 1:] if rng.random() < 0.3))
+
+
+@cache
+def restarting_instance():
+    """The first closed instance of a seeded stream whose solve search fails
+    a decision, so the search restarts with trailing on."""
+    for inst in islice(random_calculus_instances(53), 100):
+        if algebraic_closure(build_network(inst)) is None and \
+                searched_engine(inst, "solve").failed_decisions:
+            return inst
+    pytest.fail("no solve search in the stream failed a decision")
 
 
 class TestBuildNetwork:
@@ -108,9 +165,9 @@ class TestClosure:
     def test_idempotent(self, example_instance):
         net = build_network(example_instance)
         algebraic_closure(net)
-        snapshot = list(net.domains)
+        snapshot = reference_engine.dense_domains(net)
         assert algebraic_closure(net) is None
-        assert net.domains == snapshot
+        assert reference_engine.dense_domains(net) == snapshot
 
     def test_empty_detected(self, tc10):
         inst = make_instance(tc10, ["a", "b"], [("a", "b", ["ex"]), ("b", "a", ["ex"])])
@@ -130,6 +187,35 @@ class TestClosure:
                 for m in models:
                     for (x, y), rid in m.items():
                         assert (net.domain_between(x, y) >> rid) & 1
+
+    def test_closure_decides_singleton_networks(self, tc6, tc10):
+        # For tc6 and tc10 networks whose pair constraints are singletons or
+        # absent, a pair emptied by closure is exactly an inconsistent network.
+        rng = random.Random(61)
+        verdicts = []
+        for calc, n, count in ((tc6, 4, 200), (tc6, 5, 60), (tc10, 4, 150)):
+            for _ in range(count):
+                inst = singleton_network(calc, n, rng)
+                brute = brute_force_solve(inst, state_cap=calc.n_relations ** (n * (n - 1) // 2))
+                closed = algebraic_closure(build_network(inst)) is None
+                assert closed == brute.sat, instance_to_json(inst)
+                verdicts.append(closed)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    @pytest.mark.skipif(os.environ.get("TRAJCALC_EXHAUSTIVE") != "1",
+                        reason="set TRAJCALC_EXHAUSTIVE=1 to check all 117,649 networks")
+    def test_closure_decides_every_tc6_n4_singleton_network(self, tc6):
+        names = ("a", "b", "c", "d")
+        pairs = list(itertools.combinations(names, 2))
+        choices = [0] + [1 << r for r in range(tc6.n_relations)]
+        checked = 0
+        for masks in itertools.product(choices, repeat=len(pairs)):
+            inst = Instance(tc6, names, tuple(Constraint(x, y, mask) for (x, y), mask
+                                              in zip(pairs, masks) if mask))
+            closed = algebraic_closure(build_network(inst)) is None
+            assert closed == brute_force_solve(inst).sat, instance_to_json(inst)
+            checked += 1
+        assert checked == 7 ** 6 == 117_649
 
 
 class TestSolveAndEnumerate:
@@ -230,6 +316,29 @@ class TestSolveAndEnumerate:
             solve(inst, deadline)
         assert time.monotonic() - deadline < 1.0
 
+    def test_timeout_before_and_after_restart(self, monkeypatch):
+        inst = restarting_instance()
+        # the optimistic run, which has trailed nothing
+        engine, _ = trajcalc.solver._close(build_network(inst), None)
+        engine.deadline = time.monotonic() - 1.0
+        with pytest.raises(SolveTimeout):
+            next(engine.search(trajcalc.solver._Engine.pick_mrv,
+                               trajcalc.solver._loose_value_order(inst.calculus)))
+        assert engine.trail_pairs is None
+        # the trailed re-run after a failed decision
+        restart = trajcalc.solver._Engine._restart
+        restarted = []
+
+        def restart_and_expire(engine, closed):
+            restart(engine, closed)
+            restarted.append(engine.trail_pairs is not None)
+            engine.deadline = time.monotonic() - 1.0
+
+        monkeypatch.setattr(trajcalc.solver._Engine, "_restart", restart_and_expire)
+        with pytest.raises(SolveTimeout):
+            solve(inst, deadline=time.monotonic() + 60.0)
+        assert restarted == [True]
+
     def test_enumeration_keeps_no_mrv_heap(self, tc10):
         # only the MRV pick reads the heap, so enumeration must not fill it
         inst = seeded_instance("exp2", "tc10", 6, 4, 19)
@@ -240,7 +349,7 @@ class TestSolveAndEnumerate:
         leaves = sum(1 for _ in engine.search(trajcalc.solver._Engine.pick_first_undecided,
                                               declared))
         assert leaves == len(enumerate_models(inst))
-        assert len(engine.heap or ()) <= len(net.domains)
+        assert len(engine.heap or ()) <= len(engine.pairs)
 
     def test_search_without_numpy2_only_functions(self, tc6, monkeypatch):
         # the package supports numpy >= 1.23, which has no bitwise_count
@@ -262,7 +371,7 @@ class TestReferenceEngine:
         net = build_network(inst)
         assert algebraic_closure(net) == failed
         if failed is None:
-            assert net.domains == domains
+            assert reference_engine.dense_domains(net) == domains
 
     @staticmethod
     def _assert_same_models(inst, limit):
@@ -321,6 +430,18 @@ class TestReferenceEngine:
         assert mirrored > 100
 
 
+    def test_random_calculi_search(self):
+        # law-breaking tables make decisions fail, so the search restarts
+        # with trailing on: solve before its first model, enumeration too
+        failed = {"solve": 0, "enumerate": 0}
+        for inst in islice(random_calculus_instances(53), 40):
+            self._assert_same_models(inst, limit=20)
+            if algebraic_closure(build_network(inst)) is None:
+                for entry in failed:
+                    failed[entry] += searched_engine(inst, entry, limit=20).failed_decisions
+        assert failed["solve"] > 0 and failed["enumerate"] > 0
+
+
 class TestPinnedModels:
     """Models of seeded exp1/exp2 instances, pinned by the SHA-256 of their
     model JSON: the search order (MRV / loose-first for ``solve``, pair x
@@ -362,6 +483,10 @@ class TestPinnedModels:
             models = enumerate_models(inst, limit=limit)
         text = models_to_json(models)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # closure leaves these searches nothing to undo; solve never trails
+        engine = searched_engine(inst, entry, limit)
+        assert engine.failed_decisions == 0
+        assert entry != "solve" or engine.trail_pairs is None
 
     def test_tight_random_instances_digest(self, tc6, tc10):
         # Revealed instances leave a loose relation open on almost every
