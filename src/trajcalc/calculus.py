@@ -31,13 +31,6 @@ def iter_bits(mask: RelationSet) -> Iterator[RelationId]:
         mask ^= low
 
 
-def allowed_tensor(calc: "Calculus") -> np.ndarray:
-    """``k x k x k`` bool array; ``[r1, r2, r3]`` holds iff ``r3`` is in the
-    table cell ``c(r1, r2)``."""
-    table = np.array(calc.table, dtype=np.int64)
-    return ((table[:, :, None] >> np.arange(calc.n_relations)) & 1).astype(bool)
-
-
 # Relation sets fit int16 masks, and the row-union tables stay K x 2^K small.
 MAX_TABLE_RELATIONS = 15
 
@@ -187,9 +180,10 @@ class Calculus:
 
     @cached_property
     def forbidden_flat(self) -> np.ndarray:
-        """Read-only flattened negation of :func:`allowed_tensor`: entry
-        ``(r1 * K + r2) * K + r3`` is True iff ``r3`` is not in ``c(r1, r2)``."""
-        forbidden = ~allowed_tensor(self).ravel()
+        """Read-only flat bool array: entry ``(r1 * K + r2) * K + r3`` is True
+        iff ``r3`` is not in the table cell ``c(r1, r2)``."""
+        table = np.array(self.table, dtype=np.int64)
+        forbidden = ((table[:, :, None] >> np.arange(self.n_relations)) & 1 == 0).ravel()
         forbidden.setflags(write=False)
         return forbidden
 

@@ -5,6 +5,10 @@ as literal boolean formulas instead of the classification ladder, composition
 soundness is checked by enumerating concrete trajectory triples, and model
 existence is decided by exhaustive assignment enumeration.  These paths stay
 independent of the code they are used to check.
+
+Soundness checks the table, not the classifier, so it classifies triples with
+the block kernel of ``all_pairs`` (``trajectories.relation_matrix``), which the
+literal definitions of ``relations_holding`` check in turn.
 """
 
 from __future__ import annotations
@@ -12,14 +16,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .calculus import Calculus, allowed_tensor, builtin_tc6, builtin_tc10, iter_bits
+from .calculus import Calculus, builtin, iter_bits
 from .grids import GridSpec
 from .solver import Assignment, Instance, verify_assignment
-from .trajectories import Mode, Trajectory, classify, enumerate_trajectories
+from .trajectories import Mode, Trajectory, enumerate_trajectories, relation_matrix
 
 
 # -- literal base-relation definitions -----------------------------------------
@@ -162,17 +166,6 @@ class SoundnessReport:
         )
 
 
-def classification_matrix(mode: Mode, trajectories: Sequence[Trajectory]) -> np.ndarray:
-    """Dense matrix of classify() results over all ordered pairs."""
-    n = len(trajectories)
-    matrix = np.empty((n, n), dtype=np.int16)
-    for i in range(n):
-        ti = trajectories[i]
-        for j in range(n):
-            matrix[i, j] = classify(mode, ti, trajectories[j])
-    return matrix
-
-
 def verify_soundness(mode: Mode, grid: GridSpec, max_len: int,
                      sample: int | None = None, seed: int = 0,
                      calculus: Calculus | None = None,
@@ -183,25 +176,37 @@ def verify_soundness(mode: Mode, grid: GridSpec, max_len: int,
     is None, else over that many seeded uniform triples.  ``calculus``
     defaults to the built-in for the mode; passing a corrupted variant turns
     this into a fault detector.  Recorded violation triples are capped at
-    ``max_recorded``; the count is always exact.
+    ``max_recorded``, in (T1, T2, T3) order when exhaustive and in draw order
+    when sampled; the count is always exact.
     """
-    calc = calculus if calculus is not None else (builtin_tc6() if mode == "tc6" else builtin_tc10())
+    calc = calculus if calculus is not None else builtin(mode)
     trajs = list(enumerate_trajectories(grid, max_len, mode))
     n = len(trajs)
     if n == 0:
         raise ValueError("grid admits no valid trajectories at this scale")
-    matrix = classification_matrix(mode, trajs)
+    matrix = relation_matrix(mode, trajs)
     k = calc.n_relations
-    allowed = allowed_tensor(calc)
+    # the table alone fixes which (r12, r23, r13) codes violate it
+    forbidden = calc.forbidden_flat
+    recorded: list[tuple] = []
+
+    def record(a: int, b: int, c: int) -> None:
+        recorded.append((trajs[a].id, trajs[b].id, trajs[c].id,
+                         calc.relations[matrix[a, b]], calc.relations[matrix[b, c]],
+                         calc.relations[matrix[a, c]]))
 
     counts = np.zeros(k * k * k, dtype=np.int64)
     if sample is None:
         triples_checked = n * n * n
-        m32 = matrix.astype(np.int64)
+        m64 = matrix.astype(np.int64)
         for a in range(n):
             # code of (r12, r23, r13) for all b, c at fixed a
-            code = (m32[a, :, None] * k + m32) * k + m32[a, None, :]
-            counts += np.bincount(code.ravel(), minlength=k * k * k)
+            code = (m64[a, :, None] * k + m64) * k + m64[a, None, :]
+            row_counts = np.bincount(code.ravel(), minlength=k * k * k)
+            counts += row_counts
+            if len(recorded) < max_recorded and row_counts[forbidden].any():
+                for b, c in np.argwhere(forbidden[code])[:max_recorded - len(recorded)]:
+                    record(a, b, c)
     else:
         if sample <= 0:
             raise ValueError("sample size must be positive")
@@ -212,38 +217,13 @@ def verify_soundness(mode: Mode, grid: GridSpec, max_len: int,
         ic = rng.integers(0, n, size=sample)
         code = (matrix[ia, ib].astype(np.int64) * k + matrix[ib, ic]) * k + matrix[ia, ic]
         counts += np.bincount(code, minlength=k * k * k)
+        for pos in np.flatnonzero(forbidden[code])[:max_recorded]:
+            record(ia[pos], ib[pos], ic[pos])
 
-    counts3 = counts.reshape(k, k, k)
-    bad = (counts3 > 0) & ~allowed
-    violation_count = int(counts3[bad].sum())
+    violation_count = int(counts[forbidden].sum())
     witnessed = frozenset(
         (calc.relations[r1], calc.relations[r2], calc.relations[r3])
-        for r1, r2, r3 in np.argwhere(counts3 > 0))
-
-    recorded: list[tuple] = []
-    if violation_count:
-        bad_codes = {int((r1 * k + r2) * k + r3) for r1, r2, r3 in np.argwhere(bad)}
-        if sample is None:
-            m32 = matrix.astype(np.int64)
-            for a in range(n):
-                if len(recorded) >= max_recorded:
-                    break
-                code = (m32[a, :, None] * k + m32) * k + m32[a, None, :]
-                hits = np.argwhere(np.isin(code, list(bad_codes)))
-                for b, c in hits[:max_recorded - len(recorded)]:
-                    r12, r23, r13 = matrix[a, b], matrix[b, c], matrix[a, c]
-                    recorded.append((trajs[a].id, trajs[b].id, trajs[c].id,
-                                     calc.relations[r12], calc.relations[r23],
-                                     calc.relations[r13]))
-        else:
-            hits = np.argwhere(np.isin(code, list(bad_codes))).ravel()
-            for pos in hits[:max_recorded]:
-                a, b, c = int(ia[pos]), int(ib[pos]), int(ic[pos])
-                r12, r23, r13 = matrix[a, b], matrix[b, c], matrix[a, c]
-                recorded.append((trajs[a].id, trajs[b].id, trajs[c].id,
-                                 calc.relations[r12], calc.relations[r23],
-                                 calc.relations[r13]))
-
+        for r1, r2, r3 in np.argwhere(counts.reshape(k, k, k) > 0))
     return SoundnessReport(
         calculus=calc.name, mode=mode, grid_rows=grid.rows, grid_cols=grid.cols,
         max_len=max_len, sample=sample, seed=seed, trajectory_count=n,

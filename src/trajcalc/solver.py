@@ -62,6 +62,8 @@ class Instance:
                 raise InstanceError("element names must be non-empty")
             if name in seen:
                 raise InstanceError(f"duplicate element name {name!r}")
+            if "|" in name:
+                raise InstanceError(f"element name {name!r} contains '|', the model key separator")
             seen.add(name)
         full = self.calculus.full_set
         for c in self.constraints:
@@ -83,6 +85,16 @@ def make_instance(calc: Calculus, elements: Sequence[str],
     return Instance(
         calc, tuple(elements),
         tuple(Constraint(x, y, calc.mask_of(names)) for x, y, names in constraints))
+
+
+@lru_cache(maxsize=1)  # building, solving and verifying one network share it
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the canonical pairs (i < j), in pair order:
+    the module's one pair index."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 class Network:
@@ -108,10 +120,11 @@ class Network:
         return int(self.matrix[self._elem_ids[x], self._elem_ids[y]])
 
     def first_empty_pair(self) -> tuple[str, str] | None:
-        rows, cols = np.nonzero(np.triu(self.matrix == 0, 1))
-        if not len(rows):
+        rows, cols = _upper_triangle(len(self.elements))
+        empty = np.flatnonzero(self.matrix[rows, cols] == 0)
+        if not len(empty):
             return None
-        return (self.elements[rows[0]], self.elements[cols[0]])
+        return (self.elements[rows[empty[0]]], self.elements[cols[empty[0]]])
 
 
 def build_network(inst: Instance) -> Network:
@@ -140,8 +153,8 @@ def build_network(inst: Instance) -> Network:
             matrix[i, j] &= c.rels
         else:
             matrix[j, i] &= calc.converse_set(c.rels)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    matrix.T[upper] = conv[matrix[upper]]
+    rows, cols = _upper_triangle(n)
+    matrix[cols, rows] = conv[matrix[rows, cols]]
     np.fill_diagonal(matrix, 1 << calc.equality)
     return net
 
@@ -193,7 +206,7 @@ class _Engine:
         self.n = n
         self.matrix = net.matrix
         self.cells = net.matrix.reshape(-1)
-        rows, cols = np.triu_indices(n, 1)
+        rows, cols = _upper_triangle(n)
         self.pairs = rows * n + cols
         self.full = calc.full_set
         # a row has 2^K entries, so only the recently used lefts keep theirs
@@ -499,12 +512,10 @@ class Assignment:
 
     def items(self):
         """Canonical pairs with their relation ids, in pair order."""
-        n = len(self.elements)
-        pos = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield (self.elements[i], self.elements[j]), self.values[pos]
-                pos += 1
+        names = self.elements
+        rows, cols = _upper_triangle(len(names))
+        for i, j, rid in zip(rows.tolist(), cols.tolist(), self.values):
+            yield (names[i], names[j]), rid
 
     def to_dict(self) -> dict[str, str]:
         return {f"{x}|{y}": self.calculus.rel_name(rid) for (x, y), rid in self.items()}
@@ -566,15 +577,6 @@ def enumerate_models(inst: Instance, limit: int | None = None,
 _VIOLATION_CAP = 64
 # ordered triples checked per numpy operation, unless one first element has more
 _VERIFY_TRIPLES = 1 << 16
-
-
-@lru_cache(maxsize=1)  # enumeration verifies many models of one size in a row
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the canonical pairs (i < j), in pair order."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -662,7 +664,7 @@ def verify_assignment(inst: Instance,
 #    "constraints": [{"x": ..., "y": ..., "rels": [names...]}, ...]}
 #
 # Model output (UTF-8 JSON): {"status": "sat"|"unsat", "models": [{"x|y": "rel", ...}]}
-# listing canonical pairs only.
+# listing canonical pairs only; element names never contain "|".
 
 
 def load_instance(text: str) -> Instance:

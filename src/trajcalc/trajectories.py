@@ -13,11 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .calculus import RelationId, builtin_tc6, builtin_tc10
+from .calculus import RelationId, builtin
 from .grids import GridSpec, RegionId
 
 Mode = Literal["tc6", "tc10"]
@@ -111,9 +111,9 @@ def classify(mode: Mode, t1: Trajectory, t2: Trajectory) -> RelationId:
     return _ladder(mode, t1.regions, t2.regions)
 
 
-# The one decision ladder of ``classify`` and ``all_pairs``: per mode, the
-# rungs in order, each a relation and the pair features that must all hold
-# for it.  The first matching rung wins; no match means ``dis``.
+# The one decision ladder of ``classify`` and ``_block_classifier``: per
+# mode, the rungs in order, each a relation and the pair features that must
+# all hold for it.  The first matching rung wins; no match means ``dis``.
 _RUNGS: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
     "tc6": (("eq", ("same",)), ("alt", ("ss", "ff")), ("s", ("ss",)), ("f", ("ff",)),
             ("i", ("share",))),
@@ -140,17 +140,17 @@ _KEY_FEATURES = {
     "fs": (_FINISH, _START),
 }
 # ``_RUNGS`` with each feature as its (first, second) key pair, None for
-# ``share``; ``_ladder`` and ``all_pairs`` both walk this table.
+# ``share``; ``_ladder`` and ``_block_classifier`` both walk this table.
 _KEY_RUNGS = {mode: tuple((name, tuple(_KEY_FEATURES.get(f) for f in features))
                           for name, features in rungs)
               for mode, rungs in _RUNGS.items()}
-# Rows of a block of ``all_pairs``: one bit each of a uint64 region mask.
+# Rows of a block of ``_block_classifier``: one bit each of a uint64 region mask.
 _BLOCK = 64
 
 
 def _ladder(mode: Mode, a: tuple[RegionId, ...], b: tuple[RegionId, ...]) -> RelationId:
     # For region sequences already checked by ``_check_classifiable``.
-    calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
+    calc = builtin(mode)
     # every rung needs a shared region (equal keys share a region), so a
     # disjoint pair is dis and ``share`` (None below) holds past this test
     if set(a).isdisjoint(b):
@@ -166,8 +166,7 @@ def _ladder(mode: Mode, a: tuple[RegionId, ...], b: tuple[RegionId, ...]) -> Rel
 
 
 def classify_name(mode: Mode, t1: Trajectory, t2: Trajectory) -> str:
-    calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
-    return calc.rel_name(classify(mode, t1, t2))
+    return builtin(mode).rel_name(classify(mode, t1, t2))
 
 
 def random_trajectory(grid: GridSpec, length: int, mode: Mode, seed: int,
@@ -226,25 +225,20 @@ def enumerate_trajectories(grid: GridSpec, max_len: int, mode: Mode) -> Iterator
         prefix.pop()
 
 
-def all_pairs(mode: Mode, trajectories: Sequence[Trajectory]) -> Iterator[tuple[str, str, str]]:
-    """Classify every unordered pair; yields (id1, id2, relation name) rows.
+def _block_classifier(mode: Mode, trajectories: Sequence[Trajectory]
+                      ) -> Callable[[int, int, int, int], np.ndarray]:
+    """The many-pair classifier: ``block(i0, i1, j0, j1)`` holds the ``classify``
+    relation ids of rows ``i0:i1`` (at most ``_BLOCK``) against columns ``j0:j1``.
 
-    Rows run over ``i < j`` in index order, each equal to ``classify`` on
-    ``(trajectories[i], trajectories[j])``.  Each trajectory is checked here,
-    once, with the same clauses and errors as :func:`classify`, so an error
-    comes before any row.
-
-    Every rung but ``dis`` needs a shared region, and every rung is a test of
-    key equality or of a shared region, so the ladder runs on integer arrays
-    built once: start and finish regions, sequence ids (equal iff the region
-    tuples are equal), reversed-sequence ids and the flat region array.  Rows
-    are classified ``_BLOCK`` values of ``i`` at a time against all later
-    ``j``, in O(_BLOCK * n + total length) memory.
+    Each trajectory is checked once, with the errors of :func:`classify`.  Every
+    rung is a test of key equality or of a shared region, so the ladder runs on
+    arrays built once: interned keys (equal iff the keys are equal) and the flat
+    region array.  A block takes O(_BLOCK * (j1 - j0)) memory.
     """
     _check_mode(mode)
     for t in trajectories:
         _check_classifiable(mode, t)
-    calc = builtin_tc6() if mode == "tc6" else builtin_tc10()
+    calc = builtin(mode)
     rungs = _KEY_RUNGS[mode]
     n = len(trajectories)
     ids: dict = {}
@@ -264,29 +258,58 @@ def all_pairs(mode: Mode, trajectories: Sequence[Trajectory]) -> Iterator[tuple[
     keys = {key: np.fromiter((intern(k[key]) for k in all_keys), dtype=np.intp, count=n)
             for key in {key for test in tests for key in test}}
     rel_ids = [calc.rel_id(name) for name, _ in rungs]
-    names = np.array(calc.relations, dtype=object)
-    ids_out = [t.id for t in trajectories]
     shifts = np.arange(_BLOCK, dtype=np.uint64)
+
+    def block(i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        # bit r of masks[x]: trajectory i0 + r visits region x
+        masks = np.zeros(n_regions, dtype=np.uint64)
+        np.bitwise_or.at(masks, flat[offsets[i0]:offsets[i1]],
+                         np.repeat(np.uint64(1) << shifts[:i1 - i0], lengths[i0:i1]))
+        # bit r of met[c]: trajectories i0 + r and j0 + c share a region
+        met = np.bitwise_or.reduceat(masks[flat[offsets[j0]:offsets[j1]]],
+                                     offsets[j0:j1] - offsets[j0])
+        # (i1 - i0) x (j1 - j0) feature matrices; column c is trajectory j0 + c
+        holds = {None: ((met >> shifts[:i1 - i0, None]) & np.uint64(1)).astype(bool)}
+        for left, right in tests:
+            holds[left, right] = keys[left][i0:i1, None] == keys[right][None, j0:j1]
+        return np.select([np.logical_and.reduce([holds[test] for test in needs])
+                          for _, needs in rungs],
+                         rel_ids, default=calc.rel_id("dis"))
+
+    return block
+
+
+def all_pairs(mode: Mode, trajectories: Sequence[Trajectory]) -> Iterator[tuple[str, str, str]]:
+    """Classify every unordered pair; yields (id1, id2, relation name) rows.
+
+    Rows run over ``i < j`` in index order, each equal to ``classify`` on
+    ``(trajectories[i], trajectories[j])``; an invalid trajectory raises before
+    any row.  The block kernel takes ``_BLOCK`` values of ``i`` at a time
+    against all later ``j``, in O(_BLOCK * n + total length) memory.
+    """
+    block = _block_classifier(mode, trajectories)
+    names = np.array(builtin(mode).relations, dtype=object)
+    ids_out = [t.id for t in trajectories]
+    n = len(trajectories)
 
     def rows() -> Iterator[tuple[str, str, str]]:
         for i0 in range(0, n - 1, _BLOCK):
             i1 = min(i0 + _BLOCK, n - 1)
-            j0 = i0 + 1
-            # bit r of masks[x]: trajectory i0 + r visits region x
-            masks = np.zeros(n_regions, dtype=np.uint64)
-            np.bitwise_or.at(masks, flat[offsets[i0]:offsets[i1]],
-                             np.repeat(np.uint64(1) << shifts[:i1 - i0], lengths[i0:i1]))
-            # bit r of met[c]: trajectories i0 + r and j0 + c share a region
-            met = np.bitwise_or.reduceat(masks[flat[offsets[j0]:]], offsets[j0:n] - offsets[j0])
-            # block x (n - j0) feature matrices; column c is trajectory j0 + c
-            holds = {None: ((met >> shifts[:i1 - i0, None]) & np.uint64(1)).astype(bool)}
-            for left, right in tests:
-                holds[left, right] = keys[left][i0:i1, None] == keys[right][None, j0:]
-            codes = np.select([np.logical_and.reduce([holds[test] for test in needs])
-                               for _, needs in rungs],
-                              rel_ids, default=calc.rel_id("dis"))
+            codes = block(i0, i1, i0 + 1, n)
             for r in range(i1 - i0):
                 i = i0 + r
                 yield from zip(repeat(ids_out[i]), ids_out[i + 1:], names[codes[r, r:]].tolist())
 
     return rows()
+
+
+def relation_matrix(mode: Mode, trajectories: Sequence[Trajectory]) -> np.ndarray:
+    """n x n int16 relation ids; ``[i, j]`` is ``classify`` on ``(trajectories[i],
+    trajectories[j])``.  The block kernel classifies both orientations and the
+    diagonal; none is derived by converse."""
+    block = _block_classifier(mode, trajectories)
+    n = len(trajectories)
+    matrix = np.empty((n, n), dtype=np.int16)
+    for i0 in range(0, n, _BLOCK):
+        matrix[i0:i0 + _BLOCK] = block(i0, min(i0 + _BLOCK, n), 0, n)
+    return matrix

@@ -164,6 +164,14 @@ class TestSolveCommands:
         assert code == 2
         assert "zz" in err
 
+    def test_pair_separator_in_name_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bar.json"
+        path.write_text(json.dumps({"calculus": "tc6", "elements": ["a", "b|c"]}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert "b|c" in err
 
 class TestEmitVerifyCalculus:
     def test_emit_gen_fact_count(self, capsys):

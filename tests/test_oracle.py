@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from trajcalc.calculus import validate_calculus
+from trajcalc.calculus import builtin, validate_calculus
 from trajcalc.oracle import (OracleCapError, SoundnessReport, brute_force_solve,
                              corrupt_cell, coverage_report, definition_holds,
                              random_cell_corruptions, relations_holding,
@@ -70,6 +71,28 @@ class TestSoundness:
     def test_report_round_trip(self, grid3):
         report = verify_soundness("tc10", grid3, 2)
         assert SoundnessReport.from_json(report.to_json()) == report
+
+    def test_reports_are_pinned(self, grid3):
+        # built-in and corrupted tables, exhaustive and sampled; the small
+        # recording cap pins both which violations are kept and their order
+        digest = hashlib.sha256()
+        for mode in ("tc6", "tc10"):
+            calc = builtin(mode)
+            tables = [calc] + [spec.apply(calc)
+                               for spec in random_cell_corruptions(calc, 10, seed=432)]
+            for table in tables:
+                for max_len, sample in ((2, None), (3, None), (4, 50_000)):
+                    report = verify_soundness(mode, grid3, max_len, sample=sample, seed=11,
+                                              calculus=table, max_recorded=7)
+                    digest.update(report.to_json().encode())
+        assert digest.hexdigest() == \
+            "fa905a91df59aa43fab4a334d741abe5fa0d886532a5339265830a68e7b124b4"
+
+    @pytest.mark.parametrize("mode, count", [("tc6", 5816), ("tc10", 5088)])
+    def test_sampled_max_len_5_clean(self, mode, count, grid3):
+        report = verify_soundness(mode, grid3, 5, sample=1_000_000, seed=2024)
+        assert report.trajectory_count == count
+        assert report.violation_count == 0, report.violations[:5]
 
     def test_coverage_of_empty_witness_set(self, grid3, tc6):
         report = verify_soundness("tc6", grid3, 2)

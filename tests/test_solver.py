@@ -118,6 +118,11 @@ class TestBuildNetwork:
         with pytest.raises(InstanceError, match="ghost"):
             make_instance(tc6, ["a", "b"], [("a", "ghost", ["s"])])
 
+    def test_pair_separator_in_name_rejected(self, tc6):
+        # pairs ("a|b", "c") and ("a", "b|c") would share the model key "a|b|c"
+        with pytest.raises(InstanceError, match=r"'a\|b'"):
+            make_instance(tc6, ["a|b", "c"])
+
     def test_refuses_calculus_without_unique_converse(self):
         # two symmetric relations, both composing to everything: eq appears in
         # c(a, a) and c(a, eq), so the converse partner of a is not unique
@@ -655,6 +660,11 @@ class TestInstanceFiles:
         doc = {"calculus": "tc6", "elements": ["a"],
                "constraints": [{"x": "a", "y": "zz", "rels": ["s"]}]}
         with pytest.raises(InstanceError, match="zz"):
+            load_instance(json.dumps(doc))
+
+    def test_pair_separator_in_file(self):
+        doc = {"calculus": "tc6", "elements": ["a", "b|c"], "constraints": []}
+        with pytest.raises(InstanceError, match=r"'b\|c'"):
             load_instance(json.dumps(doc))
 
     def test_unknown_relation_in_file(self):

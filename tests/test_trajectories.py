@@ -8,7 +8,7 @@ from trajcalc.grids import GridSpec
 from trajcalc.oracle import relations_holding
 from trajcalc.trajectories import (_BLOCK, InfeasibleError, InvalidTrajectoryError, Trajectory,
                                    all_pairs, classify, classify_name, enumerate_trajectories,
-                                   random_trajectory, validate_trajectory)
+                                   random_trajectory, relation_matrix, validate_trajectory)
 
 
 def traj(*regions, id="t"):
@@ -161,6 +161,9 @@ class TestAllPairs:
         for a, b, rel in rows:
             assert rel == classify_name(mode, by_id[a], by_id[b])
             assert relations_holding(mode, by_id[a], by_id[b]) == [rel], (a, b)
+        # the full matrix classifies both orientations and the diagonal
+        assert relation_matrix(mode, trajs).tolist() == [[classify(mode, a, b) for b in trajs]
+                                                         for a in trajs]
         if n == 2 * _BLOCK + 5:
             # the variants reach every relation; the wide map stays mostly dis
             assert {rel for _, _, rel in rows} == set(builtin(mode).relations)
