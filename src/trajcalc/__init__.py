@@ -10,7 +10,7 @@ encodings of the same decision problem for cross-validation.
 from .calculus import (Calculus, CalculusError, RelationId, RelationSet,
                        ValidationReport, builtin, builtin_tc6, builtin_tc10,
                        iter_bits, load_calculus, save_calculus, validate_calculus)
-from .grids import GapError, GridSpec, OutOfBoxError, RawPoint, bridge_gaps, regionize
+from .grids import GapError, GridSpec, OutOfBoxError, bridge_gaps, regionize
 from .solver import (Assignment, Constraint, Instance, InstanceError, Network,
                      SolveTimeout, UnsupportedCalculusError, algebraic_closure,
                      build_network, enumerate_models, load_instance, make_instance,

@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
+import math
 import statistics
 import sys
 import time
+from array import array
 from datetime import datetime
 from pathlib import Path
+
+import numpy as np
 
 from . import bench as bench_mod
 from .asp import ENCODINGS, emit_instance_facts, emit_program
 from .calculus import (Calculus, CalculusError, builtin, load_calculus,
                        save_calculus, validate_calculus)
-from .grids import GapError, GridSpec, OutOfBoxError, RawPoint, bridge_gaps, regionize
+from .grids import GapError, GridSpec, OutOfBoxError, bridge_gaps, regionize
 from .oracle import coverage_report, verify_soundness
 from .solver import (InstanceError, SolveTimeout, UnsupportedCalculusError,
                      enumerate_models, load_instance, models_to_json, solve)
@@ -94,37 +99,74 @@ def _calculus_from_arg(value: str) -> Calculus:
 
 
 def _parse_timestamp(raw: str, line_no: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    # no float has a colon, so a clock time skips the failing float() call
+    if ":" not in raw:
+        try:
+            value = float(raw)
+        except ValueError:
+            pass
+        else:
+            # a non-finite time has no place in an object's time order
+            if math.isfinite(value):
+                return value
+            raise CliError(f"line {line_no}: bad timestamp {raw!r}")
     try:
         return datetime.fromisoformat(raw).timestamp()
     except ValueError:
         raise CliError(f"line {line_no}: bad timestamp {raw!r}") from None
 
 
-def _read_points(path: str) -> dict[str, list[RawPoint]]:
-    import csv as csv_mod
-    groups: dict[str, list[RawPoint]] = {}
+def _parse_coordinates(lon_raw: str, lat_raw: str, line_no: int) -> tuple[float, float]:
+    lon_raw, lat_raw = lon_raw.strip(), lat_raw.strip()
+    try:
+        lon, lat = float(lon_raw), float(lat_raw)
+    except ValueError:
+        pass
+    else:
+        if math.isfinite(lon) and math.isfinite(lat):
+            return lon, lat
+    raise CliError(f"line {line_no}: bad coordinates {lon_raw!r},{lat_raw!r}")
+
+
+def _read_points(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A points CSV as columns: object names in first-seen order, and per
+    point its object's index, timestamp, latitude and longitude.
+
+    One pass appends to typed arrays; fields are stripped, and each distinct
+    timestamp string is parsed once.  The first bad line raises, and on one
+    line the timestamp is checked before the coordinates.
+    """
+    names: dict[str, int] = {}
+    stamps: dict[str, float] = {}
+    obj, ts, lat, lon = array("q"), array("d"), array("d"), array("d")
+    isfinite = math.isfinite
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            for line_no, row in enumerate(csv_mod.reader(handle), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
+            for line_no, row in enumerate(csv.reader(handle), start=1):
                 if len(row) != 4:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
                     raise CliError(f"line {line_no}: expected object_id,timestamp,longitude,latitude")
-                object_id, ts_raw, lon_raw, lat_raw = (field.strip() for field in row)
-                ts = _parse_timestamp(ts_raw, line_no)
+                object_id, ts_raw, lon_raw, lat_raw = row
+                stamp = stamps.get(ts_raw)
+                if stamp is None:
+                    stamp = stamps[ts_raw] = _parse_timestamp(ts_raw.strip(), line_no)
+                # float() skips most whitespace itself; the stripped retry
+                # settles the rest, and reports a bad line
                 try:
-                    lon, lat = float(lon_raw), float(lat_raw)
-                    point = RawPoint(object_id, ts, lat, lon)
+                    x, y = float(lon_raw), float(lat_raw)
                 except ValueError:
-                    raise CliError(f"line {line_no}: bad coordinates {lon_raw!r},{lat_raw!r}") from None
-                groups.setdefault(object_id, []).append(point)
+                    x = y = math.nan
+                if not (isfinite(x) and isfinite(y)):
+                    x, y = _parse_coordinates(lon_raw, lat_raw, line_no)
+                obj.append(names.setdefault(object_id.strip(), len(names)))
+                ts.append(stamp)
+                lon.append(x)
+                lat.append(y)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    return groups
+    return (list(names), np.frombuffer(obj, dtype=np.int64), np.frombuffer(ts),
+            np.frombuffer(lat), np.frombuffer(lon))
 
 
 def read_trajectory_file(path: str) -> list[Trajectory]:
@@ -160,16 +202,20 @@ def write_trajectory_file(trajectories: list[Trajectory]) -> str:
 
 def cmd_ingest(args) -> int:
     grid = _grid_from_args(args)
-    groups = _read_points(args.points)
-    if not groups:
+    names, obj, ts, lat, lon = _read_points(args.points)
+    if not names:
         raise CliError(f"{args.points}: no points")
     clamp = args.clamp or args.policy == "clamp"
     gap_policy = "rasterize" if args.policy in ("rasterize", "clamp") else "reject"
     trajectories = []
-    for object_id, points in groups.items():
-        points.sort(key=lambda p: p.timestamp)
+    # by object, then timestamp; the sort is stable, so equal timestamps keep
+    # file order
+    order = np.lexsort((ts, obj))
+    lat, lon = lat[order], lon[order]
+    ends = np.cumsum(np.bincount(obj, minlength=len(names))).tolist()
+    for object_id, start, end in zip(names, [0] + ends, ends):
         try:
-            seq = regionize(points, grid, clamp=clamp)
+            seq = regionize(lat[start:end], lon[start:end], grid, clamp=clamp)
             seq = bridge_gaps(seq, grid, policy=gap_policy)
         except (OutOfBoxError, GapError) as exc:
             print(f"ingest: skipping object {object_id!r}: {exc}", file=sys.stderr)

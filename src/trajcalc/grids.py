@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 RegionId = int
 
 
@@ -58,17 +61,6 @@ class GridSpec:
     def row_col(self, cell: RegionId) -> tuple[int, int]:
         return divmod(cell, self.cols)
 
-    def contains(self, lat: float, lon: float) -> bool:
-        return (self.lat_min <= lat <= self.lat_max) and (self.lon_min <= lon <= self.lon_max)
-
-    def cell_at(self, lat: float, lon: float) -> RegionId:
-        """Cell of an in-box point; points exactly on the max edge land in the last row/col."""
-        row = int((lat - self.lat_min) / (self.lat_max - self.lat_min) * self.rows)
-        col = int((lon - self.lon_min) / (self.lon_max - self.lon_min) * self.cols)
-        row = min(max(row, 0), self.rows - 1)
-        col = min(max(col, 0), self.cols - 1)
-        return self.cell_id(row, col)
-
     @cached_property
     def _neighbors(self) -> tuple[tuple[RegionId, ...], ...]:
         out = []
@@ -97,35 +89,40 @@ class GridSpec:
         return abs(ra - rb) <= 1 and abs(ca - cb) <= 1
 
 
-@dataclass(frozen=True)
-class RawPoint:
-    object_id: str
-    timestamp: float
-    lat: float
-    lon: float
+def regionize(lat: ArrayLike, lon: ArrayLike, grid: GridSpec, clamp: bool = False) -> list[RegionId]:
+    """Map one object's timestamp-sorted point coordinates to a region sequence.
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"point for {self.object_id!r} has non-finite coordinates")
-
-
-def regionize(points: Sequence[RawPoint], grid: GridSpec, clamp: bool = False) -> list[RegionId]:
-    """Map a timestamp-sorted point sequence of one object to a region sequence.
-
+    ``lat`` and ``lon`` are equal-length arrays, one entry per point.
     Consecutive duplicate cells are collapsed.  Points outside the bounding
-    box raise :class:`OutOfBoxError` unless ``clamp`` pulls them to the
-    nearest cell.
+    box raise :class:`OutOfBoxError` (at the first such point) unless
+    ``clamp`` pulls them to the nearest cell; non-finite coordinates raise
+    ``ValueError``.  A point's row is ``(lat - lat_min) / (lat_max - lat_min)
+    * rows`` truncated toward zero and clamped to the grid, so points exactly
+    on the max edge land in the last row; columns likewise.
     """
-    if not points:
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
+    if not len(lat):
         raise ValueError("regionize needs at least one point")
-    cells: list[RegionId] = []
-    for i, p in enumerate(points):
-        if not clamp and not grid.contains(p.lat, p.lon):
-            raise OutOfBoxError(i, p.lat, p.lon)
-        cell = grid.cell_at(p.lat, p.lon)
-        if not cells or cells[-1] != cell:
-            cells.append(cell)
-    return cells
+    if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
+        i = int(np.argmin(np.isfinite(lat) & np.isfinite(lon)))
+        raise ValueError(f"point {i} has non-finite coordinates")
+    if not clamp:
+        inside = ((grid.lat_min <= lat) & (lat <= grid.lat_max)
+                  & (grid.lon_min <= lon) & (lon <= grid.lon_max))
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise OutOfBoxError(i, float(lat[i]), float(lon[i]))
+    row = (lat - grid.lat_min) / (grid.lat_max - grid.lat_min) * grid.rows
+    col = (lon - grid.lon_min) / (grid.lon_max - grid.lon_min) * grid.cols
+    # clamping before truncating toward zero gives the same cell as
+    # truncating then clamping, and a far-away clamped point cannot overflow
+    np.minimum(np.maximum(row, 0, out=row), grid.rows - 1, out=row)
+    np.minimum(np.maximum(col, 0, out=col), grid.cols - 1, out=col)
+    cells = row.astype(np.int64) * grid.cols + col.astype(np.int64)
+    keep = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+    return cells[keep].tolist()
 
 
 def line_cells(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
@@ -158,30 +155,36 @@ def line_cells(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, 
 def bridge_gaps(seq: Sequence[RegionId], grid: GridSpec, policy: str = "reject") -> list[RegionId]:
     """Repair or reject jumps between non-adjacent consecutive regions.
 
-    ``reject`` raises :class:`GapError` at the first offending index pair;
-    ``rasterize`` splices in the raster line between the two cells.  The
-    result always satisfies the externally-connected chain invariant.
+    ``reject`` raises :class:`GapError` at the first offending index pair
+    (equal consecutive regions included); ``rasterize`` splices in the raster
+    line between the two cells and drops a repeated cell.  The result always
+    satisfies the externally-connected chain invariant.
     """
     if policy not in ("reject", "rasterize"):
         raise ValueError(f"unknown gap policy {policy!r}")
-    if not seq:
+    if not len(seq):
         raise ValueError("empty region sequence")
-    for cell in seq:
-        if not 0 <= cell < grid.n_cells:
-            raise ValueError(f"region {cell} outside grid with {grid.n_cells} cells")
-
-    out: list[RegionId] = [seq[0]]
-    for i in range(len(seq) - 1):
-        a, b = seq[i], seq[i + 1]
-        if grid.externally_connected(a, b):
-            out.append(b)
-            continue
-        if policy == "reject":
-            raise GapError(i)
-        if a == b:
-            continue
-        for rc in line_cells(grid.row_col(a), grid.row_col(b))[1:]:
-            cell = grid.cell_id(*rc)
-            if out[-1] != cell:
-                out.append(cell)
+    arr = np.asarray(seq)
+    outside = (arr < 0) | (arr >= grid.n_cells)
+    if outside.any():
+        cell = seq[int(np.argmax(outside))]
+        raise ValueError(f"region {cell} outside grid with {grid.n_cells} cells")
+    rows, cols = np.divmod(arr.astype(np.int64, copy=False), grid.cols)
+    # step i (cells i and i + 1) is a gap unless the cells are distinct
+    # 8-neighbours, i.e. one apart in the larger of the row and column steps
+    step = np.maximum(np.abs(rows[1:] - rows[:-1]), np.abs(cols[1:] - cols[:-1]))
+    gaps = np.flatnonzero(step != 1).tolist()
+    cells = arr.tolist()
+    if gaps and policy == "reject":
+        raise GapError(gaps[0])
+    out: list[RegionId] = cells[:1]
+    done = 1  # cells[:done] are spliced in
+    for i in gaps:
+        out += cells[done:i + 1]
+        a, b = cells[i], cells[i + 1]
+        if a != b:
+            line = line_cells(divmod(a, grid.cols), divmod(b, grid.cols))
+            out += [r * grid.cols + c for r, c in line[1:]]
+        done = i + 2
+    out += cells[done:]
     return out

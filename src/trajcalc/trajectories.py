@@ -59,22 +59,29 @@ def _check_mode(mode: str) -> None:
 
 
 def validate_trajectory(traj: Trajectory, grid: GridSpec, mode: Mode) -> list[str]:
-    """Return every violated validity clause; an empty list means valid."""
+    """Return every violated validity clause; an empty list means valid.
+
+    In order: each out-of-range region, ``length < 2``, each step whose
+    regions are equal or (both in range and) not externally connected, and for
+    tc10 equal first and last regions.
+    """
     _check_mode(mode)
-    problems: list[str] = []
     regions = traj.regions
-    for i, cell in enumerate(regions):
-        if not 0 <= cell < grid.n_cells:
-            problems.append(f"region out of range at {i}")
+    try:
+        cells = np.asarray(regions, dtype=np.int64)
+    except OverflowError:
+        cells = np.asarray(regions, dtype=object)  # exact comparisons for huge ints
+    inside = (cells >= 0) & (cells < grid.n_cells)
+    problems = [f"region out of range at {i}" for i in np.flatnonzero(~inside).tolist()]
     if len(regions) < 2:
         problems.append("length < 2")
-    for i in range(len(regions) - 1):
-        a, b = regions[i], regions[i + 1]
-        if a == b:
-            problems.append(f"consecutive equal at ({i},{i + 1})")
-        elif (0 <= a < grid.n_cells and 0 <= b < grid.n_cells
-              and not grid.externally_connected(a, b)):
-            problems.append(f"not externally connected at ({i},{i + 1})")
+    rows, cols = cells // grid.cols, cells % grid.cols
+    equal = cells[1:] == cells[:-1]
+    apart = ((np.maximum(abs(rows[1:] - rows[:-1]), abs(cols[1:] - cols[:-1])) > 1)
+             & inside[1:] & inside[:-1])
+    for i in np.flatnonzero(equal | apart).tolist():
+        problems.append(f"consecutive equal at ({i},{i + 1})" if equal[i]
+                        else f"not externally connected at ({i},{i + 1})")
     if mode == "tc10" and len(regions) >= 2 and regions[0] == regions[-1]:
         problems.append("t1 = tn")
     return problems

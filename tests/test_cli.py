@@ -56,6 +56,19 @@ class TestIngest:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_is_exit_2(self, capsys, tmp_path, stamp):
+        # accepted, nan broke the time order of object a without a word
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,1,0.1,0.1\na,{stamp},0.9,0.9\na,3,0.1,0.9\na,2,0.9,0.1\n",
+                       encoding="utf-8")
+        out = tmp_path / "t.txt"
+        code, _, err = run(capsys, "ingest", "--points", str(bad), "--grid", "4x4",
+                           "--policy", "rasterize", "--out", str(out))
+        assert code == 2
+        assert err == f"trajcalc: line 2: bad timestamp {stamp!r}\n"
+        assert not out.exists()
+
     def test_grid_file_sidecar(self, capsys, tmp_path, points_csv):
         sidecar = tmp_path / "grid.json"
         sidecar.write_text(json.dumps({

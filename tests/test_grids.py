@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcalc.grids import (GapError, GridSpec, OutOfBoxError, RawPoint,
-                            bridge_gaps, line_cells, regionize)
+from trajcalc.grids import GapError, GridSpec, OutOfBoxError, bridge_gaps, line_cells, regionize
 
 
-def pt(lat, lon, ts=0.0, oid="o"):
-    return RawPoint(oid, ts, lat, lon)
+def cells_of(points, grid, clamp=False):
+    """regionize on a list of (lat, lon) points."""
+    return regionize([lat for lat, _ in points], [lon for _, lon in points], grid, clamp=clamp)
 
 
 class TestGridSpec:
@@ -19,11 +19,11 @@ class TestGridSpec:
 
     def test_cell_mapping(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-        assert g.cell_at(0.25, 0.25) == 0
-        assert g.cell_at(0.25, 0.75) == 1
-        assert g.cell_at(0.75, 0.25) == 2
+        assert cells_of([(0.25, 0.25)], g) == [0]
+        assert cells_of([(0.25, 0.75)], g) == [1]
+        assert cells_of([(0.75, 0.25)], g) == [2]
         # points exactly on the max edge stay in the last row/col
-        assert g.cell_at(1.0, 1.0) == 3
+        assert cells_of([(1.0, 1.0)], g) == [3]
 
     def test_eight_adjacency(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
@@ -37,27 +37,32 @@ class TestGridSpec:
 class TestRegionize:
     def test_collapses_duplicates(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-        points = [pt(0.25, 0.25, 0), pt(0.26, 0.26, 1), pt(0.25, 0.75, 2)]
-        assert regionize(points, g) == [0, 1]
+        assert cells_of([(0.25, 0.25), (0.26, 0.26), (0.25, 0.75)], g) == [0, 1]
 
     def test_out_of_box(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
         with pytest.raises(OutOfBoxError) as err:
-            regionize([pt(0.25, 0.25, 0), pt(2.0, 0.25, 1)], g)
+            cells_of([(0.25, 0.25), (2.0, 0.25)], g)
         assert err.value.index == 1
-        assert regionize([pt(0.25, 0.25, 0), pt(2.0, 0.25, 1)], g, clamp=True) == [0, 2]
+        assert str(err.value) == "point 1 at (2.0, 0.25) is outside the grid bounding box"
+        assert cells_of([(0.25, 0.25), (2.0, 0.25)], g, clamp=True) == [0, 2]
+
+    def test_non_finite_coordinates(self):
+        g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
+        for clamp in (False, True):
+            with pytest.raises(ValueError, match="point 1 has non-finite"):
+                cells_of([(0.25, 0.25), (float("nan"), 0.25)], g, clamp=clamp)
 
     def test_empty_input(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
-            regionize([], g)
+            regionize([], [], g)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=30))
     def test_never_consecutive_duplicates(self, coords):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 4, 4)
-        points = [pt(lat, lon, i) for i, (lat, lon) in enumerate(coords)]
-        seq = regionize(points, g)
+        seq = cells_of(coords, g)
         assert all(a != b for a, b in zip(seq, seq[1:]))
 
 
